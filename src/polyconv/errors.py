@@ -28,7 +28,7 @@ class NotOnCircle(PolyconvError):
 
 
 class NoConvergence(PolyconvError):
-    """The root solver exhausted its iteration budget above tolerance."""
+    """The root residual is above tolerance after the solve and polish."""
 
 
 class PhaseCollision(PolyconvError):

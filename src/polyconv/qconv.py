@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,9 @@ def _check_lambda(n, lam, allow_upper=False):
 @lru_cache(maxsize=4096)
 def _table(n, lam_bits):
     lam = np.frombuffer(lam_bits, dtype=float)[0]
-    if lam == 0.0:
+    # a subnormal half-step loses the sine ratios (at 5e-324 it is 0.0 and
+    # the row turns to inf/nan); the lambda -> 0 limit is exact there
+    if lam / 2.0 < sys.float_info.min:
         return np.array([float(math.comb(n, k)) for k in range(n + 1)])
     upper = 2.0 * math.pi / n
     if abs(lam - upper) <= 1e-15:

@@ -1,8 +1,8 @@
 """Root finding and unit-circle classification.
 
-Aberth-Ehrlich simultaneous iteration from deterministic initial guesses
-(scaled roots of unity offset by a golden-angle phase), Newton polish, and
-geometric clustering for multiplicities.  Deterministic given its options.
+Eigenvalues of the companion matrix (Edelman & Murakami 1995), a short
+Newton polish, and geometric clustering for multiplicities confirmed by a
+derivative test.  Deterministic given its options.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .errors import NoConvergence, NotOnCircle
 
 CIRCLE_TOL = 1e-7
-GOLDEN_ANGLE = 2.0 * math.pi * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
 INSIDE = "INSIDE"
 ON = "ON"
@@ -66,56 +65,41 @@ class RootSet:
         return "\n".join(lines)
 
 
-def _aberth(coeffs, max_iter, tol):
-    """All roots of the ascending-coefficient polynomial (exact degree form)."""
-    d = coeffs.size - 1
-    if d == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
-    lead = coeffs[-1]
-    mon = coeffs / lead
-    dcoef = mon[1:] * np.arange(1, d + 1)
-    # Cauchy-style radius keeps the start comparable to the root moduli
-    radius = 1.0 + float(np.max(np.abs(mon[:-1]))) ** (1.0 / d)
-    radius = min(max(radius, 0.5), 4.0)
-    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + GOLDEN_ANGLE))
-    rev = mon[::-1]
-    drev = dcoef[::-1]
-    for _ in range(max_iter):
-        pv = np.polyval(rev, z)
-        dv = np.polyval(drev, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(dv != 0, pv / dv, 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            sums = np.sum(1.0 / diff, axis=1)
-            w = newton / (1.0 - newton * sums)
-        w = np.where(np.isfinite(w), w, 0.0)
-        z = z - w
-        if np.max(np.abs(w)) < tol:
+def _companion_roots(c):
+    """Eigenvalues of the companion matrix of the ascending coefficients c
+    (exact degree, nonzero constant term), made monic first.
+
+    The monic division is by the larger end coefficient: when |c[0]| is
+    the larger, the reversed polynomial is solved and its roots inverted.
+    A leading coefficient at rounding level (as in the characterization
+    polynomial T) otherwise fills the matrix with entries near 1e15, and
+    double zeros on the circle come out split by 1e-4 to 1e-2, too far
+    apart for the clustering to rejoin them.
+    """
+    flip = abs(c[0]) > abs(c[-1])
+    if flip:
+        c = c[::-1]
+    d = c.size - 1
+    comp = np.zeros((d, d), dtype=complex)
+    comp[1:, :-1] = np.eye(d - 1)
+    comp[:, -1] = -c[:-1] / c[-1]
+    z = np.linalg.eigvals(comp)
+    # inverting a real root leaves its imaginary part at -0.0; adding 0j
+    # makes it +0.0, so its argument is pi, not -pi
+    return 1.0 / z + 0j if flip else z
+
+
+def _components(adj):
+    """Connected components (index arrays) of a symmetric boolean adjacency."""
+    reach = (adj | np.eye(len(adj), dtype=bool)).astype(float)
+    while True:
+        nxt = (reach @ reach > 0).astype(float)
+        if np.array_equal(nxt, reach):
             break
-    return z
-
-
-def _link(indices, points, radius):
-    """Single-linkage groups of the given point indices at the given radius."""
-    groups = [[i] for i in indices]
-    merged = True
-    while merged and len(groups) > 1:
-        merged = False
-        for a in range(len(groups)):
-            for b in range(a + 1, len(groups)):
-                if any(
-                    abs(points[i] - points[j]) < radius
-                    for i in groups[a]
-                    for j in groups[b]
-                ):
-                    groups[a] += groups[b]
-                    del groups[b]
-                    merged = True
-                    break
-            if merged:
-                break
-    return groups
+        reach = nxt
+    # all rows of one component are equal; its lowest index labels it
+    labels = np.argmax(reach, axis=1)
+    return [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
 
 
 def _refine_multiple(derivs, z, m, radius):
@@ -162,33 +146,46 @@ def _cluster(points, cluster_tol, rev):
     the hypothesized multiplicity, and false merges of genuinely distinct
     roots are rejected by _is_multiple.
     """
-    n_pts = len(points)
-    derivs = [np.asarray(rev)]
-    for _ in range(n_pts):
-        derivs.append(np.polyder(derivs[-1]))
-    unused = set(range(n_pts))
+    dist = np.abs(points[:, None] - points[None, :])
+    live = np.arange(points.size)
+    derivs = None
     found = []
-    for m in range(n_pts, 1, -1):
+    for m in range(points.size, 1, -1):
         radius = 3.0 * cluster_tol ** (1.0 / m)
-        for g in _link(sorted(unused), points, radius):
-            if len(g) != m:
+        adj = dist[np.ix_(live, live)] < radius
+        np.fill_diagonal(adj, False)
+        # the radius shrinks with m and live only shrinks: no later m links
+        if not adj.any():
+            break
+        merged = []
+        for g in _components(adj):
+            if g.size != m:
                 continue
-            centroid = complex(np.mean([points[i] for i in g]))
+            if derivs is None:
+                derivs = [np.asarray(rev)]
+                for _ in range(points.size):
+                    derivs.append(np.polyder(derivs[-1]))
+            centroid = complex(np.mean(points[live[g]]))
             z0 = _refine_multiple(derivs, centroid, m, radius)
             if _is_multiple(derivs, z0, m):
                 found.append((z0, m))
-                unused -= set(g)
-    for i in sorted(unused):
-        found.append((complex(points[i]), 1))
+                merged.extend(live[g])
+        live = np.setdiff1d(live, merged)
+    found.extend((complex(points[i]), 1) for i in live)
     return found
 
 
-def find_roots(p, max_iter=200, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_TOL):
+def find_roots(p, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_TOL):
     """All roots of p with multiplicities, classified against the unit circle.
 
-    Raises NoConvergence when the normalized residual at the simple roots
-    stays above sqrt(tol) after the iteration budget.
+    Raises ValueError on a non-finite coefficient, and NoConvergence when
+    the normalized residual at the simple roots is above sqrt(tol) after
+    the eigensolve and polish.
     """
+    bad = np.flatnonzero(~np.isfinite(p.coeffs))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"non-finite coefficient {p.coeffs[k]} of z^{k}")
     d = p.exact_degree
     if p.is_zero or d < 1:
         raise ValueError("need a nonzero polynomial of exact degree >= 1")
@@ -200,7 +197,7 @@ def find_roots(p, max_iter=200, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_T
         k0 += 1
     zero_mult = k0
     c = c[k0:]
-    approx = _aberth(c, max_iter, tol) if c.size > 1 else np.array([])
+    approx = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
 
     # Newton polish (helps simple roots; harmless on clusters)
     rev = c[::-1] / c[-1]
@@ -212,7 +209,7 @@ def find_roots(p, max_iter=200, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_T
         step = np.where(np.abs(step) < 0.1, step, 0.0)
         approx = approx - step
 
-    found = _cluster(list(approx), cluster_tol, rev)
+    found = _cluster(approx, cluster_tol, rev)
     if zero_mult:
         found.append((0.0 + 0.0j, zero_mult))
 
@@ -224,10 +221,9 @@ def find_roots(p, max_iter=200, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_T
         vals = np.abs(p.eval_many(simple))
         sizes = scale * np.maximum(1.0, np.abs(simple)) ** d
         residual = float(np.max(vals / sizes))
-        if residual > math.sqrt(tol):
+        if not residual <= math.sqrt(tol):  # a NaN residual fails too
             raise NoConvergence(
-                f"residual {residual:.3e} above tolerance after {max_iter} iterations"
-            )
+                f"residual {residual:.3e} above tolerance after eigensolve and polish")
     found.sort(key=lambda rm: (round(abs(rm[0]), 12), np.angle(rm[0])))
     return RootSet(tuple(found), residual, circle_tol)
 

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polyconv
 from polyconv.cli import Config, main
 from polyconv.poly import Polynomial
 from polyconv.qconv import q_coefficient
@@ -75,6 +79,21 @@ class TestBasicCommands:
 
     def test_missing_file(self):
         assert main(["roots", "/nonexistent/q.json"]) == 2
+
+    def test_roots_nan_coefficient_is_usage_error(self, tmp_path):
+        # run as a program so that a traceback would reach stderr
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "coeffs": [[1, 0], [NaN, 0], [1, 0]]}')
+        src = os.path.dirname(os.path.dirname(polyconv.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyconv.cli", "roots", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "non-finite coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

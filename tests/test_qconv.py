@@ -58,6 +58,16 @@ class TestQCoefficient:
         with pytest.raises(OutOfRange):
             q_coefficient(4, 1, 2.0)
 
+    def test_subnormal_lambda_is_binomial_limit(self):
+        # lam / 2 underflows to 0.0 at the smallest subnormal
+        lam = 5e-324
+        for k in range(6):
+            assert q_coefficient(5, k, lam) == float(math.comb(5, k))
+        lp = LambdaParam(5, lam)
+        f = Polynomial([1.0, 2.0, -1.0, 0.5j, 3.0, 1.0], 5)
+        assert np.all(np.isfinite(lambda_convolve(f, f, lp).coeffs))
+        assert np.all(np.isfinite(delta(f, lp).coeffs))
+
     def test_table_matches_scalar(self):
         t = QCoefficientTable.build(6, 0.7)
         assert all(abs(t.values[k] - q_coefficient(6, k, 0.7)) < 1e-15
