@@ -5,8 +5,11 @@ Naming: T_closed / T_open are the polynomials with unimodular zeros and
 pairwise angular separation >= lambda resp. > lambda; D_closed / D_open are
 the disk extensions defined through the half-plane range of the rotated
 quotient.  Three equivalent decision routes are provided; the product-based
-route (in_D_third) is the canonical one, the zeta-sampled and the
-difference-quotient routes are sampled cross-checks, and eq8_oracle is the
+route (in_D_third) is the canonical one, the zeta-sampled route (in_D_first)
+is a sampled cross-check, and the difference-quotient route (in_D_second)
+root-finds the two ends of its pencil and decides the rest by a certified
+sign test on the circle (Hermite-Biehler), with a unitless margin and an
+indeterminate flag where the sign is within rounding.  eq8_oracle is the
 direct grid evaluation of the defining inequality.
 """
 
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .poly import LambdaParam, Polynomial, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
-from .roots import CIRCLE_TOL, find_roots, arg_separation, interspersed
+from .roots import CIRCLE_TOL, _circle_sign, arg_separation, find_roots, interspersed
 
 SEP_TOL = 1e-8
 AMBIG_BAND = 1e-6
@@ -238,13 +241,22 @@ def in_D_first(F, lp, closed=True, zeta_count=64):
     return MembershipVerdict(label, True, "FIRST_CHAR_SAMPLED", worst)
 
 
-def in_D_second(P, Q, lp, closed=True, x_grid=181):
+def in_D_second(P, Q, lp, closed=True):
     """Difference-quotient route on a P - Q split with distinct phases.
 
-    Projective sampling: for theta in [0, pi) the combination
-    cos(theta) c_P D[P] - sin(theta) c_Q D[Q] must have all zeros in the
-    disk (open: strictly; closed: within circle_tol), theta = pi/2 covering
-    the point at infinity.  One refinement pass tightens the worst theta.
+    Every H_theta = cos(theta) A - sin(theta) B, with A = c_P D[P] and
+    B = c_Q D[Q] of exact degree n - 1, must have its zeros in the disk
+    (open: strictly; closed: within circle_tol).  A and B themselves are
+    root-found; a zero outside decides non-member, with margin 1 - |z|.
+    Once they are in the disk, H_theta vanishes at z on the circle exactly
+    when A(z)/B(z) = tan(theta), so by the minimum principle for Im(A/B)
+    outside the disk (the disk form of Hermite-Biehler) the pencil is in
+    the disk exactly when s = Im(A conj B) is one-signed on the circle:
+    strictly for the open class, touching 0 allowed for the closed one.
+    The margin is then the signed minimum of s / (|A|^2 + |B|^2) over the
+    circle: unitless, at most 1/2, positive for members and 0 exactly where
+    some H_theta has a zero on the circle.  A minimum of s within its
+    rounding bound is indeterminate (closed: member, open: non-member).
     """
     _require_open_interval(lp)
     label = _label("D", closed)
@@ -260,39 +272,20 @@ def in_D_second(P, Q, lp, closed=True, x_grid=181):
     for name, X in (("P", P), ("Q", Q)):
         if not find_roots(X).all_on_circle():
             raise NotOnCircle(f"{name} must have all zeros on the unit circle")
-    dP = cP * delta(P, lp)
-    dQ = cQ * delta(Q, lp)
-
-    def disk_margin(theta):
-        H = trimmed(math.cos(theta) * dP - math.sin(theta) * dQ)
-        if H.is_zero or H.exact_degree < 1:
-            return -math.inf, None
-        rs = find_roots(H)
-        worst = max(abs(z) for z, _ in rs.roots)
-        bad = next((z for z, _ in rs.roots if abs(z) >= worst), None)
-        return 1.0 - worst, bad
-
-    thetas = np.linspace(0.0, math.pi, x_grid, endpoint=False)
-    margins = []
-    for th in thetas:
-        m, bad = disk_margin(float(th))
-        margins.append(m)
-        ok = m >= -CIRCLE_TOL if closed else m > CIRCLE_TOL
-        if not ok:
+    A = cP * delta(P, lp)
+    B = cQ * delta(Q, lp)
+    # at n = 1 the ends are nonzero constants, without zeros
+    for theta, H in ((0.0, A), (math.pi / 2.0, B)) if lp.n > 1 else ():
+        z = max((z for z, _ in find_roots(H).roots), key=abs)
+        m = 1.0 - abs(z)
+        if not (m >= -CIRCLE_TOL if closed else m > CIRCLE_TOL):
             return MembershipVerdict(label, False, "SECOND_CHAR_GRID", m,
-                                     {"theta": float(th), "offending_root": complex(bad)})
-    worst_idx = int(np.argmin(margins))
-    lo = thetas[worst_idx] - math.pi / x_grid
-    hi = thetas[worst_idx] + math.pi / x_grid
-    worst = margins[worst_idx]
-    for th in np.linspace(lo, hi, 33):
-        m, bad = disk_margin(float(th))
-        worst = min(worst, m)
-        ok = m >= -CIRCLE_TOL if closed else m > CIRCLE_TOL
-        if not ok:
-            return MembershipVerdict(label, False, "SECOND_CHAR_GRID", m,
-                                     {"theta": float(th), "offending_root": complex(bad)})
-    return MembershipVerdict(label, True, "SECOND_CHAR_GRID", worst)
+                                     {"theta": theta, "offending_root": complex(z)})
+    margin, indet, z = _circle_sign(A.coeffs, B.coeffs)
+    member = closed if indet else margin > 0.0
+    return MembershipVerdict(label, member, "SECOND_CHAR_GRID", margin,
+                             {} if member and not indet else {"circle_point": z},
+                             indeterminate=indet)
 
 
 def eq8_oracle(F, lp, closed=True, n_theta=256, n_r=64):

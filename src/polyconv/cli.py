@@ -28,7 +28,6 @@ class Config:
     coeff_tol: float = 1e-10
     margin_tol: float = 1e-6
     zeta_count: int = 64
-    x_grid: int = 181
     boundary_samples: int = 256
     rng_seed: int = 0
     output_format: str = "json"
@@ -37,7 +36,7 @@ class Config:
         for name in ("circle_tol", "coeff_tol", "margin_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("zeta_count", "x_grid", "boundary_samples"):
+        for name in ("zeta_count", "boundary_samples"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be >= 8")
         if self.output_format not in {"json", "csv"}:
@@ -62,7 +61,7 @@ def _load_config(path):
                 raise ValueError(f"unknown config key {key!r}")
             if key == "output_format":
                 values[key] = raw
-            elif key in {"zeta_count", "x_grid", "boundary_samples", "rng_seed"}:
+            elif key in {"zeta_count", "boundary_samples", "rng_seed"}:
                 values[key] = int(raw)
             else:
                 values[key] = float(raw)
@@ -121,7 +120,6 @@ def _build_parser():
     p.add_argument("--coeff-tol", type=float)
     p.add_argument("--margin-tol", type=float)
     p.add_argument("--zeta-count", type=int)
-    p.add_argument("--x-grid", type=int)
     p.add_argument("--boundary-samples", type=int)
     p.add_argument("--rng-seed", type=int)
     p.add_argument("--output-format", choices=["json", "csv"])
@@ -206,8 +204,7 @@ def _cmd_classify(args, cfg):
     elif args.cls == "D":
         if args.method == "second":
             pi = p.n_inverse()
-            v = classes.in_D_second((p - pi) * 0.5, (p + pi) * (-0.5), lp, closed,
-                                    x_grid=cfg.x_grid)
+            v = classes.in_D_second((p - pi) * 0.5, (p + pi) * (-0.5), lp, closed)
         else:
             v = classes.in_D(p, lp, closed, method=args.method)
     else:
@@ -313,7 +310,7 @@ def main(argv=None):
         cfg = _load_config(args.config) if args.config else Config()
         overrides = {k: getattr(args, k) for k in
                      ("circle_tol", "coeff_tol", "margin_tol", "zeta_count",
-                      "x_grid", "boundary_samples", "rng_seed", "output_format")
+                      "boundary_samples", "rng_seed", "output_format")
                      if getattr(args, k, None) is not None}
         cfg = replace(cfg, **overrides)
     except (ValueError, OSError) as e:

@@ -161,11 +161,21 @@ class Polynomial:
     @classmethod
     def from_json(cls, text):
         obj = json.loads(text)
+        if not (isinstance(obj, dict) and type(obj.get("n")) is int
+                and isinstance(obj.get("coeffs"), list)):
+            raise ValueError('expected {"n": <int>, "coeffs": [[re, im], ...]}')
         n = obj["n"]
         pairs = obj["coeffs"]
         if len(pairs) != n + 1:
             raise ValueError(f"expected {n + 1} coefficients, got {len(pairs)}")
-        return cls([complex(re, im) for re, im in pairs], n)
+        coeffs = []
+        for k, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+                raise ValueError(f"coefficient {k} must be a [re, im] pair of numbers, "
+                                 f"got {pair!r}")
+            coeffs.append(complex(*pair))
+        return cls(coeffs, n)
 
 
 @dataclass(frozen=True)

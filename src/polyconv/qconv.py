@@ -7,7 +7,6 @@ complex Gaussian binomials.  Tables are cached per (n, lambda bits).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -72,23 +71,11 @@ class QCoefficientTable:
 def q_extremal(n, lam):
     """Q_n(lambda; z) = prod_{j=1}^n (1 + e^{i(2j-n-1) lambda/2} z).
 
-    The expanded coefficients are real and equal to C_k^(n)(lambda); the
-    product expansion is cross-checked against the sine-ratio table and the
-    real part is returned.
+    The expanded coefficients are real and equal to C_k^(n)(lambda), so the
+    sine-ratio row is returned without expanding the product.
     """
     _check_lambda(n, lam, allow_upper=True)
-    c = np.array([1.0 + 0.0j])
-    for j in range(1, n + 1):
-        f = cmath.exp(1j * (2 * j - n - 1) * lam / 2.0)
-        nxt = np.zeros(c.size + 1, dtype=complex)
-        nxt[: c.size] += c
-        nxt[1:] += f * c
-        c = nxt
-    table = _table(n, np.float64(lam).tobytes())
-    scale = max(1.0, float(np.max(np.abs(table))))
-    if np.max(np.abs(c - table)) > 1e-12 * scale:
-        raise AssertionError("expanded product disagrees with sine-ratio table")
-    return Polynomial(table.astype(complex), n)
+    return Polynomial(_table(n, np.float64(lam).tobytes()).astype(complex), n)
 
 
 def gauss_product(n, q):

@@ -42,6 +42,12 @@ class TestBasicCommands:
         for k, c in enumerate(got):
             assert abs(c - q_coefficient(3, k, 0.5)) < 1e-12
 
+    def test_qpoly_high_degree(self, capsys):
+        assert main(["qpoly", "80", "0.07"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["n"] == 80 and len(d["coeffs"]) == 81
+        assert np.all(np.isfinite(np.array(d["coeffs"])))
+
     def test_convolve_modes_agree_at_lambda_zero(self, tmp_path, capsys):
         f = write_poly(tmp_path / "f.json", Polynomial([1, 2, 3], 2))
         g = write_poly(tmp_path / "g.json", Polynomial([2, 0, 1j], 2))
@@ -92,6 +98,25 @@ class TestBasicCommands:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "non-finite coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"n": 2, "coeffs": [[1, 0], ["a", 0], [1, 0]]}', "coefficient 1"),
+        ('{"n": "2", "coeffs": [[1, 0], [0, 0], [1, 0]]}', '"n": <int>'),
+        ('[[1, 0], [1, 0]]', '"n": <int>'),
+    ])
+    def test_malformed_json_is_usage_error(self, tmp_path, text, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(polyconv.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyconv.cli", "roots", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert needle in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
@@ -241,6 +266,12 @@ class TestConfig:
         f = tmp_path / "cfg"
         f.write_text("not_a_key = 3\n")
         assert main(["--config", str(f), "--show-config"]) == 2
+
+    def test_x_grid_key_removed(self, tmp_path, capsys):
+        f = tmp_path / "cfg"
+        f.write_text("x_grid=181\n")
+        assert main(["--config", str(f), "--show-config"]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -75,13 +75,17 @@ class TestQCoefficient:
 
 
 class TestQExtremal:
-    def test_matches_table(self):
-        for n in (2, 5, 8):
-            for lam in (0.1, 0.4 * 2 * math.pi / n):
+    def test_matches_product_expansion(self):
+        # q_extremal returns the sine-ratio row; the product it stands for
+        # is expanded here
+        for n in range(1, 17):
+            upper = 2 * math.pi / n
+            for lam in (0.1 * upper, 0.4 * upper, 0.95 * upper, upper):
+                c = np.array([1.0 + 0.0j])
+                for j in range(1, n + 1):
+                    c = np.convolve(c, [1.0, cmath.exp(1j * (2 * j - n - 1) * lam / 2)])
                 Q = q_extremal(n, lam)
-                for k in range(n + 1):
-                    assert abs(Q.coeffs[k].real - q_coefficient(n, k, lam)) < 1e-11
-                    assert abs(Q.coeffs[k].imag) < 1e-12
+                assert np.max(np.abs(Q.coeffs - c)) <= 1e-12 * np.max(np.abs(c))
 
     def test_upper_endpoint_is_one_plus_zn(self):
         Q = q_extremal(4, 2 * math.pi / 4)
