@@ -4,13 +4,17 @@ extensions.
 Naming: T_closed / T_open are the polynomials with unimodular zeros and
 pairwise angular separation >= lambda resp. > lambda; D_closed / D_open are
 the disk extensions defined through the half-plane range of the rotated
-quotient.  Three equivalent decision routes are provided; the product-based
-route (in_D_third) is the canonical one, the zeta-sampled route (in_D_first)
-is a sampled cross-check, and the difference-quotient route (in_D_second)
-root-finds the two ends of its pencil and decides the rest by a certified
-sign test on the circle (Hermite-Biehler), with a unitless margin and an
-indeterminate flag where the sign is within rounding.  eq8_oracle is the
-direct grid evaluation of the defining inequality.
+quotient.  Three equivalent decision routes are provided.  The canonical
+route (in_D_third) and the difference-quotient route (in_D_second) run the
+zero-location preamble and then decide by a certified sign test on the
+circle (roots._circle_sign): the third on the rotated quotient itself,
+whose sign changes are the unimodular zeros of the product T of the
+paper; the second on the ends of the pencil of its P - Q split
+(Hermite-Biehler), after root-finding those two ends.  Their margins are
+unitless, in [-1/2, 1/2], and flagged indeterminate where the sign is
+within rounding.  The zeta-sampled route (in_D_first) is a sampled
+cross-check, and eq8_oracle the direct exterior-grid evaluation of the
+defining inequality, kept independent of the circle sign test.
 """
 
 from __future__ import annotations
@@ -30,12 +34,12 @@ from .errors import (
     PhaseCollision,
     PhaseMismatch,
 )
-from .poly import LambdaParam, Polynomial, self_inversive_phase, trimmed
+from .poly import Polynomial, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
 from .roots import CIRCLE_TOL, _circle_sign, arg_separation, find_roots, interspersed
 
 SEP_TOL = 1e-8
-AMBIG_BAND = 1e-6
+ZETA_SAMPLES = 64
 
 
 @dataclass
@@ -127,7 +131,11 @@ def is_lambda_extremal(p, lp, tol=1e-7):
 
 def build_char_polys(F, lp, P=None, Q=None):
     """T := F_+ (F^*n)_- - F_- (F^*n)_+ and, when a P - Q split is given,
-    S := P_+ Q_- - P_- Q_+ (both of nominal degree 2n)."""
+    S := P_+ Q_- - P_- Q_+ (both of nominal degree 2n).
+
+    No route builds them: on the circle T(z) = 2i z^n s(z) with
+    s = Im(e^{-inh} F_+ conj F_-), whose sign in_D_third decides directly.
+    """
     _require_open_interval(lp)
     h = lp.lam / 2.0
     Fi = F.n_inverse()
@@ -136,37 +144,6 @@ def build_char_polys(F, lp, P=None, Q=None):
     if P is not None and Q is not None:
         S = P.rotate(h).product(Q.rotate(-h)) - P.rotate(-h).product(Q.rotate(h))
     return CharacterizationPolys(T=T, S=S)
-
-
-def _circle_parity(T, circle_tol=CIRCLE_TOL, band=AMBIG_BAND):
-    """(all_even, margin, indeterminate) for the unimodular zeros of T.
-
-    Zeros within `band` of the circle are grouped by argument (a double zero
-    on the circle generically splits into a reflected pair); membership of
-    the closed class needs every group to carry even total multiplicity.
-    """
-    T = trimmed(T)
-    if T.is_zero or T.exact_degree < 1:
-        return True, math.inf, False
-    rs = find_roots(T)
-    dists = [abs(abs(z) - 1.0) for z, _ in rs.roots]
-    margin = min(dists)
-    groups = {}
-    indeterminate = False
-    for (z, m), d in zip(rs.roots, dists):
-        if d <= band:
-            ang = math.atan2(z.imag, z.real)
-            for key in groups:
-                gap = abs(ang - key) % (2.0 * math.pi)
-                if min(gap, 2.0 * math.pi - gap) < 1e-4:
-                    groups[key] += m
-                    break
-            else:
-                groups[ang] = m
-            if circle_tol * 10.0 < d <= band:
-                indeterminate = True
-    all_even = all(m % 2 == 0 for m in groups.values())
-    return all_even, margin, indeterminate
 
 
 # -- disk-class routes -------------------------------------------------------
@@ -200,27 +177,44 @@ def _route_roots(F, lp, closed, label, method):
     return None, rs
 
 
+def _sign_verdict(label, closed, method, A, B):
+    """Verdict from the certified sign of Im(A conj B) on the circle; a
+    minimum within rounding is a member of the closed class only."""
+    margin, indet, z = _circle_sign(A, B)
+    member = closed if indet else margin > 0.0
+    return MembershipVerdict(label, member, method, margin,
+                             {} if member and not indet else {"circle_point": z},
+                             indeterminate=indet)
+
+
 def in_D_third(F, lp, closed=True):
-    """Canonical route: unimodular zeros of the product polynomial T must be
-    absent (open class) or of even order (closed class)."""
+    """Canonical route: the rotated quotient of the definition, decided on
+    the circle.
+
+    Once every zero of F is strictly inside, Im(e^{-inh} F_+ / F_-), with
+    F_+- (z) = F(e^{+-ih} z) and h = lambda/2, is harmonic outside the disk
+    and equals sin(n h) > 0 at infinity, so by the minimum principle the
+    defining inequality holds exactly when s = Im(e^{-inh} F_+ conj F_-)
+    is one-signed on the circle: strictly for the open class, touching 0
+    allowed for the closed one.  On the circle T(z) = 2i z^n s(z) for the
+    degree-2n product T = F_+ (F^*n)_- - F_- (F^*n)_+ of the paper.  The
+    margin is the signed minimum of s / (|F_+|^2 + |F_-|^2) over the
+    circle: unitless, in [-1/2, 1/2], positive for members and 0 exactly
+    where T has a unimodular zero.  A minimum within its rounding bound is
+    indeterminate (closed: member, open: non-member).
+    """
     _require_open_interval(lp)
     label = _label("D", closed)
     early, _ = _route_roots(F, lp, closed, label, "THIRD_CHAR")
     if early is not None:
         return early
-    T = build_char_polys(F, lp).T
-    all_even, margin, indet = _circle_parity(T)
-    if closed:
-        return MembershipVerdict(label, all_even, "THIRD_CHAR", margin,
-                                 {} if all_even else {"odd_unimodular_T_zero": True},
-                                 indeterminate=indet)
-    member = margin > CIRCLE_TOL
-    return MembershipVerdict(label, member, "THIRD_CHAR", margin,
-                             {} if member else {"unimodular_T_zero": True},
-                             indeterminate=indet)
+    h = lp.lam / 2.0
+    return _sign_verdict(label, closed, "THIRD_CHAR",
+                         cmath.exp(-1j * lp.n * h) * F.rotate(h).coeffs,
+                         F.rotate(-h).coeffs)
 
 
-def in_D_first(F, lp, closed=True, zeta_count=64):
+def in_D_first(F, lp, closed=True):
     """Sampled route: F + zeta F^*n stays in the circle class for every
     unimodular zeta.  Exact in the necessary direction, sampled in the
     sufficient one."""
@@ -231,8 +225,8 @@ def in_D_first(F, lp, closed=True, zeta_count=64):
         return early
     Fi = F.n_inverse()
     worst = math.inf
-    for j in range(zeta_count):
-        zeta = cmath.exp(2j * math.pi * j / zeta_count)
+    for j in range(ZETA_SAMPLES):
+        zeta = cmath.exp(2j * math.pi * j / ZETA_SAMPLES)
         v = in_T(F + zeta * Fi, lp, closed)
         if not v.member:
             return MembershipVerdict(label, False, "FIRST_CHAR_SAMPLED", v.margin,
@@ -281,16 +275,17 @@ def in_D_second(P, Q, lp, closed=True):
         if not (m >= -CIRCLE_TOL if closed else m > CIRCLE_TOL):
             return MembershipVerdict(label, False, "SECOND_CHAR_GRID", m,
                                      {"theta": theta, "offending_root": complex(z)})
-    margin, indet, z = _circle_sign(A.coeffs, B.coeffs)
-    member = closed if indet else margin > 0.0
-    return MembershipVerdict(label, member, "SECOND_CHAR_GRID", margin,
-                             {} if member and not indet else {"circle_point": z},
-                             indeterminate=indet)
+    return _sign_verdict(label, closed, "SECOND_CHAR_GRID", A.coeffs, B.coeffs)
 
 
 def eq8_oracle(F, lp, closed=True, n_theta=256, n_r=64):
     """Direct grid evaluation of the defining half-plane inequality for the
-    rotated quotient on the exterior of the disk."""
+    rotated quotient on the exterior of the disk.
+
+    The innermost radius is 1 + CIRCLE_TOL (and 1 for the open class): a
+    zero of F just inside the circle can make the quotient dip below the
+    real axis only within a thin band outside it.
+    """
     _require_open_interval(lp)
     label = _label("D", closed)
     if F.is_zero or F.exact_degree != lp.n:
@@ -307,7 +302,7 @@ def eq8_oracle(F, lp, closed=True, n_theta=256, n_r=64):
     phase = cmath.exp(-1j * lp.n * h)
     Fp = F.rotate(h)
     Fm = F.rotate(-h)
-    radii = np.geomspace(1.002, 8.0, n_r)
+    radii = np.geomspace(1.0 + CIRCLE_TOL, 8.0, n_r)
     if not closed:
         radii = np.concatenate([[1.0], radii])
     angles = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
@@ -424,9 +419,15 @@ def _one_sided(F, strict):
     return inside or outside
 
 
-def hermite_kakeya(P, Q, strict=False, x_grid=181):
+def hermite_kakeya(P, Q, strict=False):
     """Pencil test for equal-phase pairs: every projective combination
-    cos(t) P - sin(t) Q must keep its zeros on the circle."""
+    cos(t) P - sin(t) Q keeps its zeros on the circle (strict: simple zeros).
+
+    Decided by the Hermite-Kakeya statement: P and Q of degree n have all
+    zeros on the circle and their zeros alternate.  A shared zero z0 is
+    admitted only when not strict: with P = (z - z0) P1 and Q = (z - z0) Q1,
+    the combination at tan(t) = P1(z0) / Q1(z0) vanishes doubly at z0.
+    """
     cP = self_inversive_phase(P)
     cQ = self_inversive_phase(Q)
     if min(abs(cP - cQ), abs(cP + cQ)) > 1e-8:
@@ -434,18 +435,14 @@ def hermite_kakeya(P, Q, strict=False, x_grid=181):
     if (P * (1.0 / max(P.norm(), 1e-300))).approx_eq(
             Q * (1.0 / max(Q.norm(), 1e-300)), 1e-12):
         raise BadParams("P/Q must be nonconstant")
-    lp0 = LambdaParam(P.nominal_degree, 0.0)
-    if strict:
-        if not in_T(Q, lp0, closed=False).member:
-            return False
-    for t in np.linspace(0.0, math.pi, x_grid, endpoint=False):
-        comb = math.cos(t) * P - math.sin(t) * Q
-        if comb.is_zero:
-            continue
-        v = in_T(comb, lp0, closed=not strict)
-        if not v.member:
-            return False
-    return True
+    n = P.nominal_degree
+    if P.exact_degree != n or Q.exact_degree != n:
+        return False
+    rsP = find_roots(P)
+    rsQ = find_roots(Q)
+    if not (rsP.all_on_circle() and rsQ.all_on_circle()):
+        return False
+    return interspersed(rsP, rsQ, strict=strict)
 
 
 # -- half-plane criterion and the explicit boundary family -------------------

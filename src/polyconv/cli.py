@@ -25,20 +25,15 @@ from .roots import find_roots
 @dataclass(frozen=True)
 class Config:
     circle_tol: float = 1e-7
-    coeff_tol: float = 1e-10
-    margin_tol: float = 1e-6
-    zeta_count: int = 64
     boundary_samples: int = 256
     rng_seed: int = 0
     output_format: str = "json"
 
     def __post_init__(self):
-        for name in ("circle_tol", "coeff_tol", "margin_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("zeta_count", "boundary_samples"):
-            if getattr(self, name) < 8:
-                raise ValueError(f"{name} must be >= 8")
+        if self.circle_tol <= 0:
+            raise ValueError("circle_tol must be positive")
+        if self.boundary_samples < 8:
+            raise ValueError("boundary_samples must be >= 8")
         if self.output_format not in {"json", "csv"}:
             raise ValueError("output_format must be json or csv")
 
@@ -61,7 +56,7 @@ def _load_config(path):
                 raise ValueError(f"unknown config key {key!r}")
             if key == "output_format":
                 values[key] = raw
-            elif key in {"zeta_count", "boundary_samples", "rng_seed"}:
+            elif key in {"boundary_samples", "rng_seed"}:
                 values[key] = int(raw)
             else:
                 values[key] = float(raw)
@@ -117,9 +112,6 @@ def _build_parser():
     p.add_argument("--show-config", action="store_true",
                    help="print the effective configuration and exit")
     p.add_argument("--circle-tol", type=float)
-    p.add_argument("--coeff-tol", type=float)
-    p.add_argument("--margin-tol", type=float)
-    p.add_argument("--zeta-count", type=int)
     p.add_argument("--boundary-samples", type=int)
     p.add_argument("--rng-seed", type=int)
     p.add_argument("--output-format", choices=["json", "csv"])
@@ -309,8 +301,7 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config) if args.config else Config()
         overrides = {k: getattr(args, k) for k in
-                     ("circle_tol", "coeff_tol", "margin_tol", "zeta_count",
-                      "boundary_samples", "rng_seed", "output_format")
+                     ("circle_tol", "boundary_samples", "rng_seed", "output_format")
                      if getattr(args, k, None) is not None}
         cfg = replace(cfg, **overrides)
     except (ValueError, OSError) as e:

@@ -73,10 +73,10 @@ def _companion_roots(c):
 
     The monic division is by the larger end coefficient: when |c[0]| is
     the larger, the reversed polynomial is solved and its roots inverted.
-    A leading coefficient at rounding level (as in the characterization
-    polynomial T) otherwise fills the matrix with entries near 1e15, and
-    double zeros on the circle come out split by 1e-4 to 1e-2, too far
-    apart for the clustering to rejoin them.
+    A leading coefficient at rounding level, left by cancellation in a
+    difference of products, otherwise fills the matrix with entries near
+    1e15, and double zeros on the circle come out split by 1e-4 to 1e-2,
+    too far apart for the clustering to rejoin them.
     """
     flip = abs(c[0]) > abs(c[-1])
     if flip:

@@ -123,6 +123,15 @@ class TestDiskRoutes:
                 assert v.member == in_D_third(F, lp, closed).member
                 assert not v.indeterminate
 
+    def test_oracle_sees_dip_just_outside_circle(self):
+        # the zero at 0.99 pushes the quotient below the real axis only for
+        # |z| < 1.002, so the oracle's grid has to start nearer the circle
+        lp = LambdaParam(3, 0.1 * TP / 3)
+        F = Polynomial.from_roots([0.99, 0.0, 0.0])
+        v = in_D_third(F, lp, True)
+        assert not v.member and not v.indeterminate and v.margin < -1e-3
+        assert not eq8_oracle(F, lp, True).member
+
     def test_open_class_contains_strict_contraction(self):
         lp = LambdaParam(self.n, self.lam)
         F = self.member()
@@ -203,7 +212,7 @@ class TestSecondRouteAgainstPencilScan:
 
 class TestBoundaryFamilyOpenClass:
     # P - Q_n of the boundary family lies in the closed class only; at these
-    # low lambda T's double zeros on the circle split off it
+    # low lambda a root find splits T's double zeros on the circle off it
     CASES = ((7, 0.15), (8, 0.15), (6, 0.1))
 
     def instances(self):
@@ -233,8 +242,6 @@ class TestBoundaryFamilyOpenClass:
                 v = in_D_second(*split(F), lp, closed)
                 assert v.indeterminate and v.member == closed, (lp, closed, v)
 
-    @pytest.mark.xfail(strict=True, reason="the third route's root-based parity "
-                       "test reads the split double zeros of T as off the circle")
     def test_third_route_never_confident_open_member(self):
         for lp, F in self.instances():
             v = in_D_third(F, lp, closed=False)
@@ -285,6 +292,21 @@ class TestCharPolys:
         with pytest.raises(OutOfRange):
             build_char_polys(Polynomial([1, 1, 1, 1, 1], 4), lp)
 
+    def test_T_is_the_third_route_sign_function(self):
+        # on the circle T(z) = 2i z^n s(z), s = Im(e^{-inh} F_+ conj F_-):
+        # the function in_D_third signs
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            lam = float(rng.uniform(0.05, 0.95)) * TP / n
+            h = lam / 2.0
+            F = Polynomial(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1), n)
+            z = np.exp(1j * rng.uniform(0.0, TP, 16))
+            s = np.imag(cmath.exp(-1j * n * h) * F.rotate(h).eval_many(z)
+                        * np.conj(F.rotate(-h).eval_many(z)))
+            T = build_char_polys(F, LambdaParam(n, lam)).T
+            assert np.allclose(T.eval_many(z), 2j * z ** n * s,
+                               atol=1e-12 * F.norm() ** 2), n
+
 
 class TestHermiteBiehler:
     # conjugate-symmetric angle sets give phase 1; the second factor keeps
@@ -326,6 +348,52 @@ class TestHermiteKakeya:
     def test_proportional_raises(self):
         with pytest.raises(BadParams):
             hermite_kakeya(self.P, self.P * 2.0)
+
+    @staticmethod
+    def aligned(p_angles, q_angles):
+        P, Q = cpoly(p_angles), cpoly(q_angles)
+        return P, Q * (self_inversive_phase(Q) / self_inversive_phase(P))
+
+    def test_shared_zero_strict_false(self):
+        # the zeros alternate through the shared zero at 0.5, so every
+        # combination keeps its zeros on the circle, but the one at
+        # tan(t) = P1(z0) / Q1(z0) has a double zero there
+        P, Q = self.aligned([0.5, 2.0, TP - 2.0, TP - 0.5], [0.0, 0.5, math.pi, 5.0])
+        assert hermite_kakeya(P, Q)
+        assert not hermite_kakeya(P, Q, strict=True)
+
+    @staticmethod
+    def pencil_scan(P, Q, strict, n_t=360):
+        # np.roots of the pencil on a t grid: all zeros on the circle, and
+        # simple for the strict variant
+        for t in np.linspace(0.0, math.pi, n_t, endpoint=False):
+            c = math.cos(t) * P.coeffs - math.sin(t) * Q.coeffs
+            z = np.roots(c[::-1])
+            if z.size != P.nominal_degree or np.max(np.abs(np.abs(z) - 1.0)) > 1e-6:
+                return False
+            if strict and np.min(np.diff(np.sort(np.angle(z))), initial=1.0) < 1e-6:
+                return False
+        return True
+
+    def test_matches_pencil_scan(self):
+        # zero sets at least 0.3 apart, half of them alternating and half
+        # with one adjacent P, Q pair swapped
+        rng = np.random.default_rng(17)
+        for i in range(20):
+            n = int(rng.integers(2, 7))
+            while True:
+                a = np.sort(rng.uniform(0.0, TP, 2 * n))
+                if np.min(np.diff(np.r_[a, a[0] + TP])) > 0.3:
+                    break
+            owner = np.arange(2 * n) % 2
+            if i % 2:
+                k = int(rng.integers(0, 2 * n - 1))
+                owner[[k, k + 1]] = owner[[k + 1, k]]
+            P, Q = self.aligned(a[owner == 0], a[owner == 1])
+            for strict in (False, True):
+                expected = self.pencil_scan(P, Q, strict)
+                assert expected == (i % 2 == 0)
+                assert hermite_kakeya(P, Q, strict) == expected, (n, a, owner, strict)
 
 
 class TestHalfPlane:

@@ -241,14 +241,14 @@ class TestConfig:
     def test_defaults(self):
         cfg = Config()
         assert cfg.circle_tol == 1e-7
-        assert cfg.zeta_count == 64
+        assert cfg.boundary_samples == 256
         assert cfg.output_format == "json"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Config(circle_tol=-1.0)
         with pytest.raises(ValueError):
-            Config(zeta_count=2)
+            Config(boundary_samples=2)
         with pytest.raises(ValueError):
             Config(output_format="xml")
 
@@ -268,10 +268,13 @@ class TestConfig:
         assert main(["--config", str(f), "--show-config"]) == 2
 
     def test_x_grid_key_removed(self, tmp_path, capsys):
+        # and the other knobs that reached no code
         f = tmp_path / "cfg"
-        f.write_text("x_grid=181\n")
-        assert main(["--config", str(f), "--show-config"]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        for line in ("x_grid=181", "coeff_tol=1e-10", "margin_tol=1e-6",
+                     "zeta_count=64"):
+            f.write_text(line + "\n")
+            assert main(["--config", str(f), "--show-config"]) == 2, line
+            assert "unknown config key" in capsys.readouterr().err, line
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "out.txt"
