@@ -13,8 +13,11 @@ paper; the second on the ends of the pencil of its P - Q split
 (Hermite-Biehler), after root-finding those two ends.  Their margins are
 unitless, in [-1/2, 1/2], and flagged indeterminate where the sign is
 within rounding.  The zeta-sampled route (in_D_first) is a sampled
-cross-check, and eq8_oracle the direct exterior-grid evaluation of the
-defining inequality, kept independent of the circle sign test.
+cross-check: its unimodular folds F + zeta F^*n are self-inversive, so a
+sign count of one real function on the circle decides all of them at once
+without root finding, and in_T decides the folds the count leaves open.
+eq8_oracle is the direct exterior-grid evaluation of the defining
+inequality, kept independent of the circle sign test.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ from .roots import CIRCLE_TOL, _circle_sign, arg_separation, find_roots, intersp
 
 SEP_TOL = 1e-8
 ZETA_SAMPLES = 64
+#: a fold whose certified margin exceeds this is in the circle class under
+#: both rules of in_T (separation within SEP_TOL), which is then not called
+FOLD_SLACK = 1e-6
+_ZETAS = np.array([cmath.exp(2j * math.pi * j / ZETA_SAMPLES)
+                   for j in range(ZETA_SAMPLES)])
+#: zeta_j^{-1/2}, which makes the fold's circle function real
+_HALF_TURNS = np.exp(-1j * math.pi * np.arange(ZETA_SAMPLES) / ZETA_SAMPLES)
 
 
 @dataclass
@@ -109,21 +119,30 @@ def in_T(p, lp, closed=True, sep_tol=SEP_TOL):
     return MembershipVerdict(label, member, "definition", margin, wit)
 
 
-def is_lambda_extremal(p, lp, tol=1e-7):
-    """Is p of the form a*Q_n(lambda; b z): unimodular zeros with n-1
-    consecutive gaps equal to lambda?"""
+def is_lambda_extremal(p, lp, tol=1e-10):
+    """Is p of the form a*Q_n(lambda; b z) with |b| = 1: unimodular zeros
+    with n-1 consecutive gaps equal to lambda?
+
+    Decided on the coefficients q_k of Q_n: a = p_0 and b = p_1 / (a q_1)
+    (at the upper endpoint, where q_1 = 0, an n-th root of p_n / (a q_n)),
+    then every p_k must equal a q_k b^k within tol * max|p_k|, and |b| must
+    be 1 within tol.  Rounding leaves about 1e-15 on a rotated and scaled
+    Q_n; one zero moved by 1e-5 along the circle leaves at least 5e-9 for
+    lambda down to 0.02 * 2pi/n, where crowded zeros hide it from the
+    coefficients.
+    """
     if p.is_zero or p.exact_degree != lp.n:
         return False
-    rs = find_roots(p)
-    if not rs.all_on_circle():
+    n = lp.n
+    c = p.coeffs
+    q = q_extremal(n, lp.lam).coeffs
+    a = c[0]
+    if a == 0.0:
         return False
-    if any(m > 1 for _, m in rs.roots) and lp.lam > tol:
-        return False
-    args = sorted(math.atan2(z.imag, z.real) for z, m in rs.roots for _ in range(m))
-    gaps = sorted(
-        [b - a for a, b in zip(args, args[1:])] + [2.0 * math.pi + args[0] - args[-1]]
-    )
-    return all(abs(g - lp.lam) <= tol for g in gaps[: lp.n - 1])
+    b = c[1] / (a * q[1]) if q[1] != 0.0 else (c[n] / (a * q[n])) ** (1.0 / n)
+    fit = a * q * b ** np.arange(n + 1)
+    return bool(abs(abs(b) - 1.0) <= tol
+                and np.max(np.abs(c - fit)) <= tol * np.max(np.abs(c)))
 
 
 # -- characterization polynomials -------------------------------------------
@@ -214,19 +233,112 @@ def in_D_third(F, lp, closed=True):
                          F.rotate(-h).coeffs)
 
 
+def _fold_margins(F, Fi, lp):
+    """Margins of the unimodular folds G_j = F + zeta_j F^*n that a sign
+    count on the circle certifies to clear in_T's rules by FOLD_SLACK; NaN
+    for every other fold.
+
+    G_j is self-inversive, so w_j = Re(zeta_j^{-1/2} e^{-in theta/2}
+    G_j(e^{i theta})) is real up to rounding, antiperiodic for odd n, and
+    has n zeros on the circle exactly when all of G_j's zeros are there
+    (Cohn 1922).  All w_j are evaluated on M nodes spaced at most lambda/8
+    by one matrix product.  A fold is certified when every node clears the
+    rounding bound 8(n+1) eps sum|G_jk| and w_j changes sign n times: at
+    most n zeros lie on the circle, so these are n simple ones.  Each
+    bracketed zero is refined by Newton's method on G_j, evaluated by
+    Horner's rule and guarded by bisection.  The margin is the least
+    circular gap minus lambda, as in_T measures it, and must exceed
+    FOLD_SLACK by twice the largest distance err / |w'| that rounding can
+    move a zero.
+    """
+    n, lam = lp.n, lp.lam
+    margins = np.full(ZETA_SAMPLES, np.nan)
+    if F.nominal_degree != n:
+        return margins  # the folds' exact degree is not n: in_T says so
+    # the arithmetic of F + zeta * Fi, row by row, bit for bit
+    G = F.coeffs + Fi.coeffs * _ZETAS[:, None]
+    kk = np.arange(n + 1) - n / 2.0
+    m = max(256, 8 * math.ceil(2.0 * math.pi / lam))
+    # nodes off 0 and pi, where the folds of real F have zeros for odd n
+    theta = 2.0 * math.pi * (np.arange(m + 1) + 0.5) / m
+    # in real arithmetic: a complex product of this size is threaded by
+    # OpenBLAS and stalls by milliseconds when the other cores are busy
+    arg = np.multiply.outer(theta[:-1], kk)
+    hg = G.T * _HALF_TURNS
+    w = np.hstack([np.cos(arg), -np.sin(arg)]) @ np.vstack([hg.real, hg.imag])
+    # the last node closes the circle: w(theta + 2 pi) = (-1)^n w(theta)
+    w = np.vstack([w, (-1.0) ** n * w[:1]])
+    err = 8.0 * (n + 1) * np.finfo(float).eps * np.sum(np.abs(G), axis=1)
+    change = (w[1:] > 0.0) != (w[:-1] > 0.0)
+    cert = np.all(np.abs(w) > err, axis=0) & (np.sum(change, axis=0) == n)
+    if not cert.any():
+        return margins
+    # zeros ordered by fold, then by angle: n to a certified fold
+    folds = np.flatnonzero(cert)
+    fold, node = np.nonzero(change[:, folds].T)
+    rows = G[folds[fold]]
+    turn = _HALF_TURNS[folds[fold]]
+    lo, hi = theta[node], theta[node + 1]
+    wlo, whi = w[node, folds[fold]], w[node + 1, folds[fold]]
+    x = lo - wlo * (hi - lo) / (whi - wlo)
+    for _ in range(10):
+        # Horner, not the node sum: its partial sums shrink where the
+        # zeros crowd, and so does its rounding
+        z = np.exp(1j * x)
+        g = dg = np.zeros(x.size, dtype=complex)
+        for k in range(n, -1, -1):
+            dg = dg * z + g
+            g = g * z + rows[:, k]
+        u = turn * np.exp(-0.5j * n * x)
+        fx = (u * g).real
+        dfx = (1j * u * (z * dg - 0.5 * n * g)).real
+        left = (fx > 0.0) == (wlo > 0.0)
+        lo = np.where(left, x, lo)
+        hi = np.where(left, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - fx / dfx
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        step = np.abs(nxt - x)
+        x = nxt
+        if step.max() <= 1e-13:
+            break
+    x = x.reshape(-1, n)
+    gaps = np.concatenate([np.diff(x, axis=1), 2.0 * math.pi + x[:, :1] - x[:, -1:]],
+                          axis=1)
+    margin = gaps.min(axis=1) - lam
+    # a zero within rounding of w may sit err / |w'| away from the computed one
+    ez = err[folds[fold]]
+    with np.errstate(divide="ignore"):
+        spread = 2.0 * np.max((ez / np.abs(dfx)).reshape(-1, n), axis=1)
+    ok = np.all((step <= 1e-10).reshape(-1, n), axis=1) & (margin - spread > FOLD_SLACK)
+    margins[folds[ok]] = margin[ok]
+    return margins
+
+
 def in_D_first(F, lp, closed=True):
     """Sampled route: F + zeta F^*n stays in the circle class for every
-    unimodular zeta.  Exact in the necessary direction, sampled in the
-    sufficient one."""
+    unimodular zeta, checked at ZETA_SAMPLES values of zeta.  Exact in the
+    necessary direction, sampled in the sufficient one.
+
+    The folds are self-inversive, so all of them are first decided at once
+    by a sign count on the circle (_fold_margins).  A fold certified there
+    to clear in_T's rules by FOLD_SLACK is a member without root finding;
+    every other fold goes through in_T in zeta order, so each non-member
+    verdict, margin and witness comes from in_T.  A member's margin is the
+    least over its folds.
+    """
     _require_open_interval(lp)
     label = _label("D", closed)
     early, _ = _route_roots(F, lp, closed, label, "FIRST_CHAR_SAMPLED")
     if early is not None:
         return early
     Fi = F.n_inverse()
+    fast = _fold_margins(F, Fi, lp)
     worst = math.inf
-    for j in range(ZETA_SAMPLES):
-        zeta = cmath.exp(2j * math.pi * j / ZETA_SAMPLES)
+    for zeta, m in zip(_ZETAS.tolist(), fast.tolist()):
+        if not math.isnan(m):
+            worst = min(worst, m)
+            continue
         v = in_T(F + zeta * Fi, lp, closed)
         if not v.member:
             return MembershipVerdict(label, False, "FIRST_CHAR_SAMPLED", v.margin,

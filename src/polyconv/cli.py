@@ -9,6 +9,7 @@ or verification failure, 2 usage error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -103,7 +104,10 @@ def _parse_domain_spec(text):
     raise ValueError(f"cannot parse domain spec {text!r}")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process (parse_args does not
+    change it, and building it costs twenty parses)."""
     p = argparse.ArgumentParser(prog="polyconv",
                                 description="circle/disk polynomial classes, "
                                             "weighted convolutions, zero domains")

@@ -14,8 +14,12 @@ from polyconv.errors import (
     PhaseCollision,
     PhaseMismatch,
 )
+from polyconv import classes
 from polyconv.poly import LambdaParam, Polynomial, self_inversive_phase
 from polyconv.classes import (
+    ZETA_SAMPLES,
+    _fold_margins,
+    _route_roots,
     build_char_polys,
     eq8_oracle,
     extremal_family,
@@ -32,6 +36,7 @@ from polyconv.classes import (
     pre_class_test,
 )
 from polyconv.qconv import delta, q_extremal
+from polyconv.roots import find_roots
 
 TP = 2 * math.pi
 
@@ -77,6 +82,63 @@ class TestInT:
         p = cpoly([0.0, 0.8, 2.0])
         v = in_T(p, lp)
         assert v.margin == pytest.approx(0.8 - 0.5, abs=1e-8)
+
+
+def gap_test_extremal(p, lp, tol=1e-7):
+    """Unimodular zeros whose n-1 smallest gaps all equal lambda: the root
+    test that the coefficient test replaced, kept as its reference."""
+    if p.is_zero or p.exact_degree != lp.n:
+        return False
+    rs = find_roots(p)
+    if not rs.all_on_circle():
+        return False
+    if any(m > 1 for _, m in rs.roots) and lp.lam > tol:
+        return False
+    args = sorted(math.atan2(z.imag, z.real) for z, m in rs.roots for _ in range(m))
+    gaps = sorted(
+        [b - a for a, b in zip(args, args[1:])] + [2.0 * math.pi + args[0] - args[-1]]
+    )
+    return all(abs(g - lp.lam) <= tol for g in gaps[: lp.n - 1])
+
+
+class TestLambdaExtremal:
+    def test_coefficient_test_matches_gap_test(self):
+        rng = np.random.default_rng(23)
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            lp = LambdaParam(n, float(rng.uniform(0.05, 0.95)) * TP / n)
+            a = complex(rng.normal(), rng.normal()) * 10 ** rng.uniform(-2, 2)
+            rot = cmath.exp(1j * rng.uniform(0.0, TP))
+            Q = q_extremal(n, lp.lam).scale_argument(rot) * a
+            cases = [Q]
+            # the zeros of Q, one of them moved along the circle by 1e-5
+            # (at n = 1 every unimodular zero is extremal)
+            zeros = -np.exp(-1j * (2 * np.arange(1, n + 1) - n - 1) * lp.lam / 2.0) / rot
+            for k in {0, n // 2} if n > 1 else ():
+                moved = zeros.copy()
+                moved[k] *= cmath.exp(1e-5j)
+                cases.append(Polynomial.from_roots(moved, leading=a))
+            # unimodular folds of a member: Q pushed inside.  Their gaps miss
+            # lambda by about (r - 1)^2, so r - 1 stays above the 3e-6 to
+            # 3e-4 where the tolerances of the two tests part
+            F = q_extremal(n, lp.lam).scale_argument(rot * (1.0 + 10 ** rng.uniform(-3, -1)))
+            cases += [F + cmath.exp(1j * t) * F.n_inverse() for t in rng.uniform(0, TP, 3)]
+            for p in cases:
+                expected = gap_test_extremal(p, lp)
+                assert is_lambda_extremal(p, lp) == expected, (n, lp.lam, p)
+                seen[expected] += 1
+            assert is_lambda_extremal(Q, lp)
+            assert not any(is_lambda_extremal(p, lp) for p in cases[1:-3])
+        assert seen[True] >= 40 and seen[False] >= 80, seen
+
+    def test_endpoints(self):
+        for n in (1, 2, 5):
+            for lam in (0.0, TP / n):
+                lp = LambdaParam(n, lam)
+                Q = q_extremal(n, lam).scale_argument(cmath.exp(0.4j)) * (1 - 2j)
+                assert is_lambda_extremal(Q, lp)
+                assert not is_lambda_extremal(Q.scale_argument(1.01), lp)
 
 
 class TestDiskRoutes:
@@ -246,6 +308,115 @@ class TestBoundaryFamilyOpenClass:
         for lp, F in self.instances():
             v = in_D_third(F, lp, closed=False)
             assert not v.member or v.indeterminate, (lp, v)
+
+
+def per_fold_first_route(F, lp, closed):
+    """The first route with one in_T root find per sampled fold: the loop
+    that the sign count replaced, kept as the reference for it."""
+    label = "D_closed" if closed else "D_open"
+    early, _ = _route_roots(F, lp, closed, label, "FIRST_CHAR_SAMPLED")
+    if early is not None:
+        return early
+    Fi = F.n_inverse()
+    worst = math.inf
+    for j in range(ZETA_SAMPLES):
+        zeta = cmath.exp(2j * math.pi * j / ZETA_SAMPLES)
+        v = in_T(F + zeta * Fi, lp, closed)
+        if not v.member:
+            v.witnesses["zeta"] = zeta
+            return v
+        worst = min(worst, v.margin)
+    return classes.MembershipVerdict(label, True, "FIRST_CHAR_SAMPLED", worst)
+
+
+class TestFirstRouteFolds:
+    """in_D_first decides its folds by a sign count on the circle and
+    sends the rest to in_T; its verdicts are those of a per-fold in_T loop."""
+
+    SHAPES = ("scaled", "rejection", "boundary", "raw")
+
+    def instances(self):
+        rng = np.random.default_rng(8)
+        for i in range(60):
+            shape = self.SHAPES[i % 4]
+            n = 2 + (i // 4) % 7
+            lam = float(rng.uniform(0.05, 0.95)) * TP / n
+            if shape == "scaled":
+                gaps = lam + (TP - n * lam) * rng.dirichlet(np.ones(n))
+                angles = rng.uniform(0, TP) + np.cumsum(gaps)
+                zeros = rng.uniform(0.6, 0.97) * np.exp(1j * angles)
+            elif shape == "rejection":
+                zeros = rng.uniform(0.2, 0.95) * np.sqrt(rng.uniform(0, 1, n)) * np.exp(
+                    1j * rng.uniform(0, TP, n))
+            elif shape == "raw":
+                zeros = rng.uniform(0.3, 1.1, n) * np.exp(1j * rng.uniform(0, TP, n))
+            if shape == "boundary":
+                c = cmath.exp(1j * rng.uniform(0.1, math.pi - 0.1))
+                F = extremal_family(n, lam, -float(rng.uniform(0.2, 2.0)),
+                                    float(rng.normal()), c) - q_extremal(n, lam)
+            else:
+                F = Polynomial.from_roots(zeros)
+            yield shape, LambdaParam(n, lam), F
+
+    def test_matches_per_fold_in_T(self):
+        members = {True: 0, False: 0}
+        fast = 0
+        for shape, lp, F in self.instances():
+            fast += not np.all(np.isnan(_fold_margins(F, F.n_inverse(), lp)))
+            for closed in (True, False):
+                v = in_D_first(F, lp, closed)
+                ref = per_fold_first_route(F, lp, closed)
+                assert v.member == ref.member, (shape, lp, closed, v, ref)
+                assert v.margin == pytest.approx(ref.margin, abs=1e-8), (shape, lp, closed)
+                assert v.witnesses.keys() == ref.witnesses.keys()
+                members[v.member] += 1
+        assert members[True] >= 20 and members[False] >= 20, members
+        assert fast >= 30
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_member_takes_one_root_find(self, n, monkeypatch):
+        # the preamble's; odd n also checks the antiperiodic wrap of w
+        calls = []
+        real = classes.find_roots
+        monkeypatch.setattr(classes, "find_roots",
+                            lambda p, *a, **k: calls.append(p) or real(p, *a, **k))
+        lp = LambdaParam(n, 0.6 * TP / n)
+        F = q_extremal(n, lp.lam).scale_argument(1.2)
+        for closed in (True, False):
+            calls.clear()
+            v = in_D_first(F, lp, closed)
+            assert v.member and v.margin > 0.0
+            assert len(calls) == 1, (closed, len(calls))
+
+    def test_nominal_degree_above_n(self):
+        # the folds of F = z + 0.5 at nominal degree 2 have exact degree 2,
+        # so in_T rejects the first one before any sign count applies
+        lp = LambdaParam(1, 1.0)
+        F = Polynomial([0.5, 1.0, 0.0], 2)
+        v = in_D_first(F, lp, True)
+        assert not v.member and v.witnesses["reason"] == "exact degree != n"
+        assert v.witnesses["zeta"] == 1.0
+
+    def test_unresolved_fold_goes_to_in_T(self):
+        # F = P - Q with the zeros of P and Q interlacing on the circle has
+        # its zeros inside (Hermite-Biehler); its fold at zeta = 1 is -2Q,
+        # whose zeros at 1 -+ 1e-3 fall between two nodes of the sign count
+        def self_inversive(angles, phase):
+            p = cpoly(angles)
+            return p * (self_inversive_phase(p) * phase)
+
+        lp = LambdaParam(6, 0.5 * TP / 6)
+        P = self_inversive([1.0, 2.0, 3.0, 4.2, 5.1, 6.0], 1j)
+        Q = self_inversive([1.0 - 1e-3, 1.0 + 1e-3, 2.5, 3.7, 4.6, 5.6], 1.0)
+        F = P - Q
+        assert np.all(np.abs(np.roots(F.coeffs[::-1])) < 1.0 - 1e-7)
+        assert math.isnan(_fold_margins(F, F.n_inverse(), lp)[0])
+        for closed in (True, False):
+            v = in_D_first(F, lp, closed)
+            ref = in_T(F + 1.0 * F.n_inverse(), lp, closed)
+            assert not v.member and not ref.member
+            assert v.margin == ref.margin
+            assert v.witnesses == {"zeta": 1.0, **ref.witnesses}
 
 
 class TestEndpoints:

@@ -280,3 +280,15 @@ class TestConfig:
         target = tmp_path / "out.txt"
         assert main(["--out", str(target), "qcoef", "4", "2", "0"]) == 0
         assert target.read_text().strip() == "6"
+
+    def test_parser_reuse_keeps_no_values(self, tmp_path, capsys):
+        # the parser is built once per process; a second call without
+        # --out or --config must see neither value of the first
+        cfg = tmp_path / "cfg"
+        cfg.write_text("rng_seed = 5\n")
+        target = tmp_path / "out.json"
+        assert main(["--config", str(cfg), "--out", str(target), "--show-config"]) == 0
+        assert json.loads(target.read_text())["rng_seed"] == 5
+        assert main(["--show-config"]) == 0
+        assert json.loads(capsys.readouterr().out)["rng_seed"] == Config().rng_seed
+        assert json.loads(target.read_text())["rng_seed"] == 5
