@@ -46,6 +46,10 @@ ZETA_SAMPLES = 64
 #: a fold whose certified margin exceeds this is in the circle class under
 #: both rules of in_T (separation within SEP_TOL), which is then not called
 FOLD_SLACK = 1e-6
+#: most nodes of the fold sign count: the count certifies on any grid, and
+#: below lambda = 2 pi / 512 folds whose zeros crowd closer than a node
+#: interval show fewer than n sign changes and go to in_T
+FOLD_NODES_MAX = 4096
 _ZETAS = np.array([cmath.exp(2j * math.pi * j / ZETA_SAMPLES)
                    for j in range(ZETA_SAMPLES)])
 #: zeta_j^{-1/2}, which makes the fold's circle function real
@@ -241,8 +245,8 @@ def _fold_margins(F, Fi, lp):
     G_j is self-inversive, so w_j = Re(zeta_j^{-1/2} e^{-in theta/2}
     G_j(e^{i theta})) is real up to rounding, antiperiodic for odd n, and
     has n zeros on the circle exactly when all of G_j's zeros are there
-    (Cohn 1922).  All w_j are evaluated on M nodes spaced at most lambda/8
-    by one matrix product.  A fold is certified when every node clears the
+    (Cohn 1922).  All w_j are evaluated on M nodes spaced at most lambda/8,
+    and at most FOLD_NODES_MAX of them, by one matrix product.  A fold is certified when every node clears the
     rounding bound 8(n+1) eps sum|G_jk| and w_j changes sign n times: at
     most n zeros lie on the circle, so these are n simple ones.  Each
     bracketed zero is refined by Newton's method on G_j, evaluated by
@@ -258,7 +262,7 @@ def _fold_margins(F, Fi, lp):
     # the arithmetic of F + zeta * Fi, row by row, bit for bit
     G = F.coeffs + Fi.coeffs * _ZETAS[:, None]
     kk = np.arange(n + 1) - n / 2.0
-    m = max(256, 8 * math.ceil(2.0 * math.pi / lam))
+    m = min(FOLD_NODES_MAX, max(256, 8 * math.ceil(2.0 * math.pi / lam)))
     # nodes off 0 and pi, where the folds of real F have zeros for odd n
     theta = 2.0 * math.pi * (np.arange(m + 1) + 0.5) / m
     # in real arithmetic: a complex product of this size is threaded by

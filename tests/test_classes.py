@@ -119,9 +119,9 @@ class TestLambdaExtremal:
                 moved = zeros.copy()
                 moved[k] *= cmath.exp(1e-5j)
                 cases.append(Polynomial.from_roots(moved, leading=a))
-            # unimodular folds of a member: Q pushed inside.  Their gaps miss
-            # lambda by about (r - 1)^2, so r - 1 stays above the 3e-6 to
-            # 3e-4 where the tolerances of the two tests part
+            # unimodular folds of a member: Q pushed inside by r.  r - 1
+            # stays above the 1e-5 to 1e-3 where the two tests part
+            # (test_near_extremal_folds_are_not_extremal)
             F = q_extremal(n, lp.lam).scale_argument(rot * (1.0 + 10 ** rng.uniform(-3, -1)))
             cases += [F + cmath.exp(1j * t) * F.n_inverse() for t in rng.uniform(0, TP, 3)]
             for p in cases:
@@ -131,6 +131,24 @@ class TestLambdaExtremal:
             assert is_lambda_extremal(Q, lp)
             assert not any(is_lambda_extremal(p, lp) for p in cases[1:-3])
         assert seen[True] >= 40 and seen[False] >= 80, seen
+
+    def test_near_extremal_folds_are_not_extremal(self):
+        # folds of Q_n pushed inside by 1 + e, e in [3e-5, 3e-4]: their gaps
+        # miss lambda by 3e-10 to 1e-6, which the gap test's tolerance of
+        # 1e-7 forgives on most of them; the coefficient test, which
+        # accepts none of these folds above e = 1.3e-5, rejects every one
+        rng = np.random.default_rng(31)
+        forgiven = 0
+        for _ in range(80):
+            n = int(rng.integers(2, 9))
+            lp = LambdaParam(n, float(rng.uniform(0.05, 0.95)) * TP / n)
+            e = 10 ** rng.uniform(math.log10(3e-5), math.log10(3e-4))
+            rot = cmath.exp(1j * rng.uniform(0.0, TP))
+            F = q_extremal(n, lp.lam).scale_argument(rot * (1.0 + e))
+            p = F + cmath.exp(1j * rng.uniform(0, TP)) * F.n_inverse()
+            assert not is_lambda_extremal(p, lp), (n, lp.lam, e)
+            forgiven += gap_test_extremal(p, lp)
+        assert forgiven >= 20, forgiven
 
     def test_endpoints(self):
         for n in (1, 2, 5):
@@ -417,6 +435,38 @@ class TestFirstRouteFolds:
             assert not v.member and not ref.member
             assert v.margin == ref.margin
             assert v.witnesses == {"zeta": 1.0, **ref.witnesses}
+
+
+    def test_tiny_lambda(self):
+        # lambda = 1e-6 asks for nodes 1.25e-7 apart; the sign count keeps
+        # to FOLD_NODES_MAX of them and leaves folds whose zeros share a
+        # node interval to in_T.  Here the fold at zeta = 1 is -2Q, whose
+        # zeros 1e-3 apart straddle the midpoint of two nodes
+        def self_inversive(angles, phase):
+            p = cpoly(angles)
+            return p * (self_inversive_phase(p) * phase)
+
+        step = TP / classes.FOLD_NODES_MAX
+        c = round(1.0 / step) * step
+        P = self_inversive([c, 2.0, 3.0, 4.2, 5.1, 6.0], 1j)
+        Q = self_inversive([c - 5e-4, c + 5e-4, 2.5, 3.7, 4.6, 5.6], 1.0)
+        cases = [(LambdaParam(6, 1e-6), P - Q)]
+        rng = np.random.default_rng(12)
+        for n in range(2, 9):
+            zeros = rng.uniform(0.3, 0.95, n) * np.exp(1j * rng.uniform(0, TP, n))
+            cases.append((LambdaParam(n, 1e-6), Polynomial.from_roots(zeros)))
+        for lp, F in cases:
+            fast = _fold_margins(F, F.n_inverse(), lp)
+            assert np.sum(np.isnan(fast)) < ZETA_SAMPLES // 2, lp
+            for closed in (True, False):
+                v = in_D_first(F, lp, closed)
+                ref = per_fold_first_route(F, lp, closed)
+                assert v.member and ref.member, (lp, closed, v, ref)
+                assert v.margin == pytest.approx(ref.margin, abs=1e-8), (lp, closed)
+        F = cases[0][1]
+        assert math.isnan(_fold_margins(F, F.n_inverse(), cases[0][0])[0])
+        fold = in_T(F + 1.0 * F.n_inverse(), cases[0][0])
+        assert in_D_first(F, cases[0][0]).margin == fold.margin == pytest.approx(1e-3 - 1e-6)
 
 
 class TestEndpoints:
