@@ -21,7 +21,6 @@ from .errors import (
 from .poly import (
     LambdaParam,
     Polynomial,
-    n_inverse,
     self_inversive_phase,
     trimmed,
 )
@@ -79,6 +78,7 @@ from .harness import (
     TrialReport,
     run_gauss_lucas_trial,
     run_grid,
+    run_herglotz_trial,
     run_limacon_trial,
     run_main_trial,
     run_suffridge_trial,

@@ -37,11 +37,18 @@ from .errors import (
     PhaseCollision,
     PhaseMismatch,
 )
-from .poly import Polynomial, self_inversive_phase, trimmed
+from .poly import Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
 from .roots import CIRCLE_TOL, _circle_sign, arg_separation, find_roots, interspersed
 
 SEP_TOL = 1e-8
+#: is_lambda_extremal's relative fit of the coefficients, and of |b| to 1
+EXTREMAL_TOL = 1e-10
+#: the exterior grid of eq8_oracle: angles and geometric radii out to 8
+ORACLE_ANGLES = 256
+ORACLE_RADII = 64
+#: circle nodes of the half-plane criterion
+HALF_PLANE_GRID = 256
 ZETA_SAMPLES = 64
 #: a fold whose certified margin exceeds this is in the circle class under
 #: both rules of in_T (separation within SEP_TOL), which is then not called
@@ -100,7 +107,7 @@ def _require_open_interval(lp):
 # -- the circle classes ------------------------------------------------------
 
 
-def in_T(p, lp, closed=True, sep_tol=SEP_TOL):
+def in_T(p, lp, closed=True):
     """Zeros all on the circle with angular separation >= lambda (closed)
     or > lambda with simple zeros (open)."""
     label = _label("T", closed)
@@ -116,24 +123,24 @@ def in_T(p, lp, closed=True, sep_tol=SEP_TOL):
     sep = arg_separation(rs)
     margin = sep - lp.lam
     if closed:
-        member = margin >= -sep_tol
+        member = margin >= -SEP_TOL
     else:
-        member = margin > sep_tol and all(m == 1 for _, m in rs.roots)
+        member = margin > SEP_TOL and all(m == 1 for _, m in rs.roots)
     wit = {} if member else {"separation": sep}
     return MembershipVerdict(label, member, "definition", margin, wit)
 
 
-def is_lambda_extremal(p, lp, tol=1e-10):
+def is_lambda_extremal(p, lp):
     """Is p of the form a*Q_n(lambda; b z) with |b| = 1: unimodular zeros
     with n-1 consecutive gaps equal to lambda?
 
     Decided on the coefficients q_k of Q_n: a = p_0 and b = p_1 / (a q_1)
     (at the upper endpoint, where q_1 = 0, an n-th root of p_n / (a q_n)),
-    then every p_k must equal a q_k b^k within tol * max|p_k|, and |b| must
-    be 1 within tol.  Rounding leaves about 1e-15 on a rotated and scaled
-    Q_n; one zero moved by 1e-5 along the circle leaves at least 5e-9 for
-    lambda down to 0.02 * 2pi/n, where crowded zeros hide it from the
-    coefficients.
+    then every p_k must equal a q_k b^k within EXTREMAL_TOL * max|p_k|, and
+    |b| must be 1 within EXTREMAL_TOL.  Rounding leaves about 1e-15 on a
+    rotated and scaled Q_n; one zero moved by 1e-5 along the circle leaves
+    at least 5e-9 for lambda down to 0.02 * 2pi/n, where crowded zeros hide
+    it from the coefficients.
     """
     if p.is_zero or p.exact_degree != lp.n:
         return False
@@ -145,8 +152,8 @@ def is_lambda_extremal(p, lp, tol=1e-10):
         return False
     b = c[1] / (a * q[1]) if q[1] != 0.0 else (c[n] / (a * q[n])) ** (1.0 / n)
     fit = a * q * b ** np.arange(n + 1)
-    return bool(abs(abs(b) - 1.0) <= tol
-                and np.max(np.abs(c - fit)) <= tol * np.max(np.abs(c)))
+    return bool(abs(abs(b) - 1.0) <= EXTREMAL_TOL
+                and np.max(np.abs(c - fit)) <= EXTREMAL_TOL * np.max(np.abs(c)))
 
 
 # -- characterization polynomials -------------------------------------------
@@ -394,7 +401,7 @@ def in_D_second(P, Q, lp, closed=True):
     return _sign_verdict(label, closed, "SECOND_CHAR_GRID", A.coeffs, B.coeffs)
 
 
-def eq8_oracle(F, lp, closed=True, n_theta=256, n_r=64):
+def eq8_oracle(F, lp, closed=True):
     """Direct grid evaluation of the defining half-plane inequality for the
     rotated quotient on the exterior of the disk.
 
@@ -418,10 +425,10 @@ def eq8_oracle(F, lp, closed=True, n_theta=256, n_r=64):
     phase = cmath.exp(-1j * lp.n * h)
     Fp = F.rotate(h)
     Fm = F.rotate(-h)
-    radii = np.geomspace(1.0 + CIRCLE_TOL, 8.0, n_r)
+    radii = np.geomspace(1.0 + CIRCLE_TOL, 8.0, ORACLE_RADII)
     if not closed:
         radii = np.concatenate([[1.0], radii])
-    angles = np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    angles = np.exp(2j * np.pi * np.arange(ORACLE_ANGLES) / ORACLE_ANGLES)
     z = np.outer(radii, angles).ravel()
     num = Fp.eval_many(z)
     den = Fm.eval_many(z)
@@ -434,7 +441,7 @@ def eq8_oracle(F, lp, closed=True, n_theta=256, n_r=64):
                              {} if member else {"negative_imag_on_grid": True})
 
 
-def in_D(F, lp, closed=True, method="third", **kw):
+def in_D(F, lp, closed=True, method="third"):
     """Endpoint-aware dispatcher for the disk classes.
 
     lambda = 0 and lambda = 2*pi/n use their explicit definitions; interior
@@ -448,9 +455,9 @@ def in_D(F, lp, closed=True, method="third", **kw):
     if method == "third":
         return in_D_third(F, lp, closed)
     if method == "first":
-        return in_D_first(F, lp, closed, **kw)
+        return in_D_first(F, lp, closed)
     if method == "oracle":
-        return eq8_oracle(F, lp, closed, **kw)
+        return eq8_oracle(F, lp, closed)
     raise ValueError(f"unknown method {method!r} (second needs an explicit split)")
 
 
@@ -564,23 +571,23 @@ def hermite_kakeya(P, Q, strict=False):
 # -- half-plane criterion and the explicit boundary family -------------------
 
 
-def half_plane_margin(f, grid=256):
+def half_plane_margin(f):
     """min over the unit circle of Re((f(z)-a0)/(a_n z^n - a0)) - 1/2."""
     c = f.coeffs
     n = f.nominal_degree
     a0, an = c[0], c[n]
     if abs(a0) >= abs(an):
         raise HypothesisViolated(f"need |a_0| < |a_n|, got {abs(a0)} >= {abs(an)}")
-    z = np.exp(2j * np.pi * np.arange(grid) / grid)
+    z = np.exp(2j * np.pi * np.arange(HALF_PLANE_GRID) / HALF_PLANE_GRID)
     num = f.eval_many(z) - a0
     den = an * z**n - a0
     return float(np.min(np.real(num / den))) - 0.5
 
 
-def half_plane_criterion(f, grid=256):
+def half_plane_criterion(f):
     """True when the shifted quotient stays in Re > 1/2 on the circle (and
     hence, by the maximum principle, outside the disk)."""
-    return half_plane_margin(f, grid) > 0.0
+    return half_plane_margin(f) > 0.0
 
 
 def extremal_family(n, lam, a, b, c):
@@ -602,15 +609,7 @@ def extremal_family(n, lam, a, b, c):
     acc = float(b) * Q.coeffs.astype(complex)
     top = np.array([1.0, cmath.exp(1j * (n + 1) * lam / 2.0)])
     for k in range(1, n + 1):
-        part = np.array([1.0 + 0.0j])
-        for j, fac in enumerate(factors, start=1):
-            if j == k:
-                continue
-            nxt = np.zeros(part.size + 1, dtype=complex)
-            nxt[: part.size] += part
-            nxt[1:] += fac * part
-            part = nxt
-        part = np.convolve(part, top)
+        part = np.convolve(_expand(factors[: k - 1] + factors[k:]), top)
         w = cmath.exp(1j * (k - n - 1) * lam / 2.0) / math.sin((k - n - 1) * lam / 2.0)
         acc = acc + float(a) * w * part
     return Polynomial(cc * acc, n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, asdict, fields, replace
 
@@ -219,12 +218,9 @@ def _cmd_verify(args, cfg):
         reports = [harness.run_limacon_trial(complex(re, im), args.gamma, n,
                                              args.trials, seed=seed)]
     elif args.theorem == "herglotz":
-        reports = [_herglotz_report(args.trials, seed)]
+        reports = [harness.run_herglotz_trial(args.trials, seed)]
     elif args.n is not None and args.lam is not None:
-        fn = {"suffridge": harness.run_suffridge_trial,
-              "main": harness.run_main_trial,
-              "gausslucas": harness.run_gauss_lucas_trial}[args.theorem]
-        reports = [fn(args.n, args.lam, args.trials, seed=seed)]
+        reports = [harness._THEOREMS[args.theorem](args.n, args.lam, args.trials, seed)]
     else:
         reports = harness.run_grid(args.theorem, trials=args.trials, seed=seed,
                                    n_max=args.n_max)
@@ -237,43 +233,6 @@ def _cmd_verify(args, cfg):
     if trials and indet / trials > args.max_indeterminate_fraction:
         return 1
     return 0
-
-
-def _herglotz_report(trials, seed):
-    """Convergence/positivity trial for the kernel approximant on random
-    positive-real-part functions built from finite measures."""
-    rep = harness.TrialReport("kernel-approximant", seed=seed)
-    for t in range(trials):
-        rng = harness._trial_rng(seed, t)
-        m = int(rng.integers(2, 6))
-        w = rng.dirichlet(np.ones(m))
-        nodes = np.exp(2j * np.pi * rng.uniform(size=m))
-        # f(z) = sum w_j (1 + u_j z)/(1 - u_j z): Taylor coefficients
-        N = 65
-        coeffs = np.zeros(N + 1, dtype=complex)
-        coeffs[0] = 1.0
-        for j in range(1, N + 1):
-            coeffs[j] = 2.0 * np.sum(w * nodes**j)
-        errs = []
-        try:
-            for jj in (4, 5, 6):
-                k, r = herglotz.default_schedule(jj)
-                h = herglotz.build_approximant(coeffs[: k + 1], k, r)
-                zs = 0.5 * np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
-                approx = herglotz.evaluate_approximant_many(h, zs)
-                f = np.array([np.sum(w * (1 + nodes * z) / (1 - nodes * z))
-                              for z in zs])
-                errs.append(float(np.max(np.abs(approx - f))))
-        except PolyconvError:
-            rep.skip()
-            continue
-        if errs[-1] <= errs[0] + 1e-12:
-            rep.record(errs[0] - errs[-1] + 1e-12)
-        else:
-            rep.record(errs[0] - errs[-1],
-                       {"tag": "error failed to decrease", "errors": errs,
-                        "trial": t, "polys": []})
-    return rep
 
 
 def _cmd_herglotz(args, cfg):

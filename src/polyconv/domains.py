@@ -98,6 +98,21 @@ def mobius(tau, gamma, z):
     return tau * z / (1.0 + gamma * z)
 
 
+def _defect(d, z):
+    """The defining inequality of a region as a real function: positive
+    strictly inside, zero on the boundary.  Not for the circle or a
+    complement, which have none of their own."""
+    k = d.kind
+    if k in {UNIT_DISK_OPEN, UNIT_DISK_CLOSED}:
+        return 1.0 - abs(z)
+    if k in _OMEGA_KINDS:
+        # z = w(u) with |u| < 1 inverts to |z| < |tau - gamma z|
+        return abs(d.tau - d.gamma * z) - abs(z)
+    if k in {LIMACON_I, LIMACON_I_CLOSED}:
+        return 1.0 - abs(z) - d.gamma * abs(1.0 + z)
+    return abs(z) - d.gamma * abs(1.0 + z) - 1.0
+
+
 def _classify(defect, tol):
     """defect > 0 means strictly inside the defining inequality."""
     if abs(defect) <= tol:
@@ -119,18 +134,10 @@ def contains(d, z, tol=1e-9):
         if v == BOUNDARY:
             return BOUNDARY
         return OUT if v == IN else IN
-    if k in {UNIT_DISK_OPEN, UNIT_DISK_CLOSED}:
-        return _classify(1.0 - abs(z), tol)
     if k == UNIT_CIRCLE:
         return IN if abs(abs(z) - 1.0) <= tol else OUT
-    if k in _OMEGA_KINDS:
-        # z = w(u) with |u| < 1 inverts to |z| < |tau - gamma z|
-        return _classify(abs(d.tau - d.gamma * z) - abs(z), tol)
-    if k in {LIMACON_I, LIMACON_I_CLOSED}:
-        defect = 1.0 - abs(z) - d.gamma * abs(1.0 + z)
-    else:
-        defect = abs(z) - d.gamma * abs(1.0 + z) - 1.0
-    if d.gamma == 1.0 and k.endswith("CLOSED"):
+    defect = _defect(d, z)
+    if k in {LIMACON_I_CLOSED, LIMACON_O_CLOSED} and d.gamma == 1.0:
         return IN if abs(defect) <= tol else OUT
     return _classify(defect, tol)
 
@@ -176,16 +183,6 @@ def boundary_polyline(d, samples=256):
     if d.kind == UNIT_CIRCLE:
         raise BadParams("the unit circle is its own boundary; no region defect")
 
-    def defect(z):
-        k = d.kind
-        if k in {UNIT_DISK_OPEN, UNIT_DISK_CLOSED}:
-            return 1.0 - abs(z)
-        if k in _OMEGA_KINDS:
-            return abs(d.tau - d.gamma * z) - abs(z)
-        if k in {LIMACON_I, LIMACON_I_CLOSED}:
-            return 1.0 - abs(z) - d.gamma * abs(1.0 + z)
-        return abs(z) - d.gamma * abs(1.0 + z) - 1.0
-
     # a region-dependent interior anchor keeps every ray crossing the boundary
     if d.kind in _OMEGA_KINDS:
         center = mobius(d.tau, d.gamma, 0.0)
@@ -197,13 +194,13 @@ def boundary_polyline(d, samples=256):
     for t in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
         u = complex(math.cos(t), math.sin(t))
         lo, hi = 0.0, 1.0
-        while defect(center + hi * u) > 0 and hi < 1e6:
+        while _defect(d, center + hi * u) > 0 and hi < 1e6:
             lo, hi = hi, hi * 2.0
-        if defect(center + hi * u) > 0:
+        if _defect(d, center + hi * u) > 0:
             continue  # unbounded direction (outer limaçon)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if defect(center + mid * u) > 0:
+            if _defect(d, center + mid * u) > 0:
                 lo = mid
             else:
                 hi = mid

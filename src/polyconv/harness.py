@@ -18,7 +18,6 @@ import numpy as np
 
 from .classes import (
     extremal_family,
-    in_D,
     in_D_third,
     in_T,
     is_lambda_extremal,
@@ -28,7 +27,7 @@ from .domains import (
     BOUNDARY,
     IN,
     OUT,
-    DomainSpec,
+    complement,
     contains,
     counterexample_P,
     limacon_inner,
@@ -37,12 +36,17 @@ from .domains import (
     omega,
     root_set_in,
 )
-from .errors import OutOfRange, SamplerExhausted
-from .poly import LambdaParam, Polynomial
-from .qconv import delta, lambda_convolve, q_extremal
+from .errors import OutOfRange, PolyconvError, SamplerExhausted
+from .herglotz import build_approximant, default_schedule, evaluate_approximant_many
+from .poly import LambdaParam, Polynomial, trimmed
+from .qconv import delta, grace_szego, lambda_convolve, q_extremal
 from .roots import find_roots
 
 MARGIN_TOL = 1e-6
+#: rejection draws sample_D makes before it gives up
+SAMPLE_D_BUDGET = 400
+#: draws _sample_region makes in the unit disk before it gives up
+REGION_BUDGET = 4000
 
 
 @dataclass
@@ -138,7 +142,7 @@ def sample_T(n, lam, strict, rng):
     return Polynomial.from_roots(roots, leading=a)
 
 
-def sample_D(n, lam, rng, strategy=None, budget=400):
+def sample_D(n, lam, rng, strategy=None):
     """Random member of the open disk class (strategies 'scaled' and
     'rejection') or of the closed boundary family ('boundary').  Returns
     (polynomial, strategy tag).  lambda = 0 draws roots in the disk."""
@@ -164,7 +168,7 @@ def sample_D(n, lam, rng, strategy=None, budget=400):
         P = extremal_family(n, lam, a, b, complex(c))
         return P - q_extremal(n, lam), tag
     if tag == "rejection":
-        for _ in range(budget):
+        for _ in range(SAMPLE_D_BUDGET):
             radius = rng.uniform(0.2, 0.95)
             roots = radius * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(
                 2j * np.pi * rng.uniform(0.0, 1.0, n))
@@ -173,18 +177,19 @@ def sample_D(n, lam, rng, strategy=None, budget=400):
             if v.member and v.margin > MARGIN_TOL:
                 return F, tag
         raise SamplerExhausted(
-            f"no open-class member found in {budget} draws at n={n}, lambda={lam}")
+            f"no open-class member found in {SAMPLE_D_BUDGET} draws at n={n}, "
+            f"lambda={lam}")
     raise ValueError(f"unknown strategy {tag!r}")
 
 
-def _sample_region(d, rng, budget=4000, radius=1.0, allow_boundary=False):
-    """Rejection-sample one point of the region (disk-bounded regions only)."""
+def _sample_region(d, rng, allow_boundary=False):
+    """Rejection-sample one point of the region in the unit disk."""
     ok = {IN, BOUNDARY} if allow_boundary else {IN}
-    for _ in range(budget):
-        z = radius * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    for _ in range(REGION_BUDGET):
+        z = math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         if contains(d, complex(z)) in ok:
             return complex(z)
-    raise SamplerExhausted(f"no point of {d.kind} found in {budget} draws")
+    raise SamplerExhausted(f"no point of {d.kind} found in {REGION_BUDGET} draws")
 
 
 def sample_inner_limacon(gamma, rng, closed=False):
@@ -209,14 +214,17 @@ def sample_outer_limacon(gamma, rng, closed=False):
 # -- trial runners -----------------------------------------------------------
 
 
-def _judge(report, verdict, witness):
-    """Standard bookkeeping: margin band -> indeterminate, else pass/fail."""
-    if verdict.indeterminate or abs(verdict.margin) < MARGIN_TOL:
+def _judge(report, margin, witness, indeterminate=False):
+    """Standard bookkeeping: indeterminate or within MARGIN_TOL of 0 is
+    skipped, else a positive margin passes and any other fails.  Outside
+    that band a determinate verdict's member flag is margin > 0 on every
+    route, so verdicts are judged by their margin too."""
+    if indeterminate or abs(margin) < MARGIN_TOL:
         report.skip()
-    elif verdict.member:
-        report.record(verdict.margin)
+    elif margin > 0:
+        report.record(margin)
     else:
-        report.record(verdict.margin, witness)
+        report.record(margin, witness)
 
 
 def run_suffridge_trial(n, lam, trials, seed=0):
@@ -234,7 +242,8 @@ def run_suffridge_trial(n, lam, trials, seed=0):
         G = sample_T(n, lam, strict=True, rng=rng)
         H = lambda_convolve(F, G, lp)
         v = in_T(H, lp, closed=False)
-        _judge(rep, v, _wit("convolution left open class", F, G, H, trial=t))
+        _judge(rep, v.margin, _wit("convolution left open class", F, G, H, trial=t),
+               v.indeterminate)
     return rep
 
 
@@ -282,21 +291,15 @@ def run_main_trial(n, lam, trials, seed=0, mu=None):
         G, _ = sample_D(n, lam, rng,
                         strategy=("scaled", "rejection")[rng.integers(0, 2)]
                         if lam > 0 else None)
+        H = lambda_convolve(F, G, lp)
         if lam == 0.0:
-            H = lambda_convolve(F, G, lp)
             rs = find_roots(H) if not H.is_zero else None
             margin = min(1.0 - abs(z) for z, _ in rs.roots) if rs else math.inf
-            if abs(margin) < MARGIN_TOL:
-                rep.skip()
-            elif margin > 0:
-                rep.record(margin)
-            else:
-                rep.record(margin, _wit("convolution root left the disk", F, G, H,
-                                        trial=t))
+            _judge(rep, margin, _wit("convolution root left the disk", F, G, H, trial=t))
             continue
-        H = lambda_convolve(F, G, lp)
         v = in_D_third(H, lp, closed=False)
-        _judge(rep, v, _wit("convolution left open disk class", F, G, H, trial=t))
+        _judge(rep, v.margin, _wit("convolution left open disk class", F, G, H, trial=t),
+               v.indeterminate)
     return rep
 
 
@@ -312,11 +315,10 @@ def _main_part_two(n, lam, mu, rng, rep, t):
         if is_lambda_extremal(F + complex(zeta) * Fi, lp):
             rep.skip()
             return
-    w = np.array([q_extremal(n, lam).coeffs[k].real for k in range(n + 1)])
-    f = Polynomial(F.coeffs / w, n)
+    f = Polynomial(F.coeffs / q_extremal(n, lam).coeffs.real, n)
     v = pre_class_test(f, LambdaParam(n, mu), "PD_open")
-    _judge(rep, v, _wit("pre-class member failed to lift", F, trial=t,
-                        mu=mu, strategy=tag))
+    _judge(rep, v.margin, _wit("pre-class member failed to lift", F, trial=t,
+                               mu=mu, strategy=tag), v.indeterminate)
 
 
 def run_limacon_trial(tau, gamma, n, trials, seed=0):
@@ -326,8 +328,6 @@ def run_limacon_trial(tau, gamma, n, trials, seed=0):
         raise OutOfRange(f"gamma={gamma} outside [0, 1)")
     tau = complex(tau)
     rep = TrialReport(f"limacon tau={tau} gamma={gamma} n={n}", seed=seed)
-    from .qconv import grace_szego
-
     om_open = omega(tau, gamma)
     om_closed = omega(tau, gamma, closed=True)
 
@@ -351,84 +351,51 @@ def run_limacon_trial(tau, gamma, n, trials, seed=0):
             return outside_root(rng, closed)
         return mobius(tau, gamma, complex(u))
 
-    def judged(conv, target, witness):
-        if conv.is_zero:
-            rep.skip()
-            return
-        rs = find_roots(conv)
-        margins = []
-        bad = None
-        ok = {IN, BOUNDARY} if target[1] else {IN}
-        for z, _ in rs.roots:
-            verdict = contains(target[0], z)
-            margins.append(0.0 if verdict == BOUNDARY else 1.0)
-            if verdict not in ok:
-                bad = complex(z)
-        if bad is not None:
-            rep.record(-1.0, {**witness, "offending_root": [bad.real, bad.imag]})
-        else:
-            rep.record(min(margins) if margins else 1.0)
-
+    # (tag, P-root sampler, Q-root sampler, region the product's roots stay in)
+    arms = (
+        ("arm closed*inner", lambda rng: omega_root(rng, True),
+         lambda rng: sample_inner_limacon(gamma, rng), om_open),
+        ("arm open*closed-inner", lambda rng: omega_root(rng, False),
+         lambda rng: sample_inner_limacon(gamma, rng, closed=True), om_open),
+        ("arm complement*outer", lambda rng: outside_root(rng, True),
+         lambda rng: sample_outer_limacon(gamma, rng), complement(om_closed)),
+        ("arm complement-closed*outer-closed", lambda rng: outside_root(rng, False),
+         lambda rng: sample_outer_limacon(gamma, rng, closed=True), complement(om_closed)),
+        ("arm inner-self", lambda rng: sample_inner_limacon(gamma, rng, closed=True),
+         lambda rng: sample_inner_limacon(gamma, rng), limacon_inner(gamma)),
+        ("arm outer-self", lambda rng: sample_outer_limacon(gamma, rng, closed=True),
+         lambda rng: sample_outer_limacon(gamma, rng), limacon_outer(gamma)),
+    )
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        arm = t % 7
-        if arm == 0:  # closed Omega * open inner -> open Omega
-            P = Polynomial.from_roots([omega_root(rng, True) for _ in range(n)])
-            Q = Polynomial.from_roots(
-                [sample_inner_limacon(gamma, rng) for _ in range(n)])
-            judged(grace_szego(P, Q), (om_open, False),
-                   _wit("arm closed*inner", P, Q, trial=t))
-        elif arm == 1:  # open Omega * closed inner -> open Omega
-            P = Polynomial.from_roots([omega_root(rng, False) for _ in range(n)])
-            Q = Polynomial.from_roots(
-                [sample_inner_limacon(gamma, rng, closed=True) for _ in range(n)])
-            judged(grace_szego(P, Q), (om_open, False),
-                   _wit("arm open*closed-inner", P, Q, trial=t))
-        elif arm == 2:  # complement(open) * outer -> complement(closed)
-            P = Polynomial.from_roots([outside_root(rng, True) for _ in range(n)])
-            Q = Polynomial.from_roots(
-                [sample_outer_limacon(gamma, rng) for _ in range(n)])
-            judged(grace_szego(P, Q),
-                   (DomainSpec("COMPLEMENT", inner=om_closed), False),
-                   _wit("arm complement*outer", P, Q, trial=t))
-        elif arm == 3:  # complement(closed) * closed outer -> complement(closed)
-            P = Polynomial.from_roots([outside_root(rng, False) for _ in range(n)])
-            Q = Polynomial.from_roots(
-                [sample_outer_limacon(gamma, rng, closed=True) for _ in range(n)])
-            judged(grace_szego(P, Q),
-                   (DomainSpec("COMPLEMENT", inner=om_closed), False),
-                   _wit("arm complement-closed*outer-closed", P, Q, trial=t))
-        elif arm == 4:  # closed inner * inner -> inner
-            P = Polynomial.from_roots(
-                [sample_inner_limacon(gamma, rng, closed=True) for _ in range(n)])
-            Q = Polynomial.from_roots(
-                [sample_inner_limacon(gamma, rng) for _ in range(n)])
-            judged(grace_szego(P, Q), (limacon_inner(gamma), False),
-                   _wit("arm inner-self", P, Q, trial=t))
-        elif arm == 5:  # closed outer * outer -> outer
-            P = Polynomial.from_roots(
-                [sample_outer_limacon(gamma, rng, closed=True) for _ in range(n)])
-            Q = Polynomial.from_roots(
-                [sample_outer_limacon(gamma, rng) for _ in range(n)])
-            judged(grace_szego(P, Q), (limacon_outer(gamma), False),
-                   _wit("arm outer-self", P, Q, trial=t))
-        else:
+        if t % 7 == 6:
             _limacon_negative_arm(tau, gamma, n, rng, rep, t)
+            continue
+        tag, p_root, q_root, target = arms[t % 7]
+        P = Polynomial.from_roots([p_root(rng) for _ in range(n)])
+        Q = Polynomial.from_roots([q_root(rng) for _ in range(n)])
+        conv = grace_szego(P, Q)
+        if conv.is_zero:
+            rep.skip()
+            continue
+        bad = [complex(z) for z, _ in find_roots(conv).roots if contains(target, z) != IN]
+        if bad:
+            rep.record(-1.0, _wit(tag, P, Q, trial=t,
+                                  offending_root=[bad[-1].real, bad[-1].imag]))
+        else:
+            rep.record(1.0)
     return rep
 
 
 def _limacon_negative_arm(tau, gamma, n, rng, rep, t):
     """Plant a Q-root outside the inner limaçon and exhibit a P that pushes
     a convolution root out of the Möbius disk."""
-    from .qconv import grace_szego
-
     om_open = omega(tau, gamma)
     inner = limacon_inner(gamma)
     beta = None
     for _ in range(500):
         z = 1.4 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        d = 1.0 - abs(z) - gamma * abs(1.0 + z)
-        if d < -1e-3:
+        if contains(inner, z, 1e-3) == OUT:
             beta = complex(z)
             break
     if beta is None:
@@ -480,13 +447,8 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
                 rep.record(-dist, _wit("closed image escaped", F, trial=t))
         elif mode == 1:  # open disk-class members: image in open disk
             F, _ = sample_D(n, lam, rng) if lam > 0 else sample_D(n, 0.0, rng)
-            margin = -_escape_distance(delta(F, lp))
-            if abs(margin) < MARGIN_TOL:
-                rep.skip()
-            elif margin > 0:
-                rep.record(margin)
-            else:
-                rep.record(margin, _wit("open image escaped", F, trial=t))
+            _judge(rep, -_escape_distance(delta(F, lp)),
+                   _wit("open image escaped", F, trial=t))
         else:  # converse on self-inversive inputs: non-member -> image escapes
             if lam <= 1e-9:
                 rep.skip()
@@ -496,21 +458,14 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
             if vF.member or abs(vF.margin) < MARGIN_TOL:
                 rep.skip()
                 continue
-            dist = _escape_distance(delta(F, lp))
-            if abs(dist) < MARGIN_TOL:
-                rep.skip()
-            elif dist > 0:
-                rep.record(dist)
-            else:
-                rep.record(dist, _wit("image stayed in the disk for a "
-                                      "circle-class non-member", F, trial=t))
+            _judge(rep, _escape_distance(delta(F, lp)),
+                   _wit("image stayed in the disk for a circle-class non-member",
+                        F, trial=t))
     return rep
 
 
 def _escape_distance(img):
     """max |root| - 1 of the trimmed image; -inf when no roots remain."""
-    from .poly import trimmed
-
     img = trimmed(img)
     if img.is_zero or img.exact_degree < 1:
         return -math.inf
@@ -518,6 +473,46 @@ def _escape_distance(img):
     return max(abs(z) for z, _ in rs.roots) - 1.0
 
 
+def run_herglotz_trial(trials, seed=0):
+    """Convergence/positivity trial for the kernel approximant on random
+    positive-real-part functions built from finite measures."""
+    rep = TrialReport("kernel-approximant", seed=seed)
+    for t in range(trials):
+        rng = _trial_rng(seed, t)
+        m = int(rng.integers(2, 6))
+        w = rng.dirichlet(np.ones(m))
+        nodes = np.exp(2j * np.pi * rng.uniform(size=m))
+        # f(z) = sum w_j (1 + u_j z)/(1 - u_j z): Taylor coefficients
+        N = 65
+        coeffs = np.zeros(N + 1, dtype=complex)
+        coeffs[0] = 1.0
+        for j in range(1, N + 1):
+            coeffs[j] = 2.0 * np.sum(w * nodes**j)
+        errs = []
+        try:
+            for jj in (4, 5, 6):
+                k, r = default_schedule(jj)
+                h = build_approximant(coeffs[: k + 1], k, r)
+                zs = 0.5 * np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
+                approx = evaluate_approximant_many(h, zs)
+                f = np.array([np.sum(w * (1 + nodes * z) / (1 - nodes * z))
+                              for z in zs])
+                errs.append(float(np.max(np.abs(approx - f))))
+        except PolyconvError:
+            rep.skip()
+            continue
+        if errs[-1] <= errs[0] + 1e-12:
+            rep.record(errs[0] - errs[-1] + 1e-12)
+        else:
+            rep.record(errs[0] - errs[-1],
+                       {"tag": "error failed to decrease", "errors": errs,
+                        "trial": t, "polys": []})
+    return rep
+
+
+# the lambdas look the runners up when called, so a caller sees whatever
+# run_*_trial is bound in this module then (a dict of the function objects
+# would keep the originals after the names are rebound, as tracing does)
 _THEOREMS = {
     "suffridge": lambda n, lam, trials, seed: run_suffridge_trial(n, lam, trials, seed),
     "main": lambda n, lam, trials, seed: run_main_trial(n, lam, trials, seed),

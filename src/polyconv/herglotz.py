@@ -11,13 +11,16 @@ disk as k grows and r tends to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolated, OutOfDomain, OutOfRange, PositivityLost
 from .poly import LambdaParam, Polynomial
+
+#: points of disk_limit_check's inner circle, at radius 1 - 1/LIMIT_GRID
+LIMIT_GRID = 512
+
 
 #: deterministic default schedule: k = 2^j paired with r = 1 - 2^(-j/2)
 def default_schedule(j):
@@ -107,12 +110,12 @@ def evaluate_approximant_many(h, zs):
     return np.sum(s * (1.0 + np.outer(zs, w)) / (1.0 - np.outer(zs, w)), axis=1)
 
 
-def disk_limit_check(p, lp: LambdaParam, grid=512):
+def disk_limit_check(p, lp: LambdaParam):
     """Half-plane check for the n-inverse on an inner circle.
 
     For a candidate p with leading coefficient 1, verifies
     Re((p^{*n}(z) - conj(a_0) z^n)/(1 - conj(a_0) z^n)) > 1/2 on the circle
-    of radius 1 - 1/grid.
+    of radius 1 - 1/LIMIT_GRID, at LIMIT_GRID points.
     """
     n = lp.n
     c = p.coeffs
@@ -121,8 +124,8 @@ def disk_limit_check(p, lp: LambdaParam, grid=512):
     a0bar = np.conj(c[0])
     if abs(a0bar) >= 1.0:
         raise HypothesisViolated(f"need |a_0| < 1, got {abs(a0bar)}")
-    rad = 1.0 - 1.0 / grid
-    z = rad * np.exp(2j * np.pi * np.arange(grid) / grid)
+    rad = 1.0 - 1.0 / LIMIT_GRID
+    z = rad * np.exp(2j * np.pi * np.arange(LIMIT_GRID) / LIMIT_GRID)
     pstar = p.n_inverse()
     num = pstar.eval_many(z) - a0bar * z**n
     den = 1.0 - a0bar * z**n

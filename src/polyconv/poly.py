@@ -19,6 +19,8 @@ from .errors import DegreeMismatch, NotSymmetric
 
 #: default relative coefficient tolerance (relative to max coefficient modulus)
 COEFF_TOL = 1e-10
+#: leading coefficients trimmed() drops, relative to the largest modulus
+TRIM_TOL = 1e-13
 
 
 class Polynomial:
@@ -45,13 +47,11 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots, leading=1.0, nominal_degree=None):
-        """leading * prod (z - r) expanded to ascending coefficients."""
-        c = np.array([complex(leading)])
-        for r in roots:
-            nxt = np.zeros(c.size + 1, dtype=complex)
-            nxt[1:] += c
-            nxt[:-1] -= complex(r) * c
-            c = nxt
+        """leading * prod (z - r) expanded to ascending coefficients.
+
+        z - r is 1 - r z with its coefficients reversed, so this is the
+        reversed expansion of leading * prod (1 - r z)."""
+        c = _expand([-complex(r) for r in roots], leading)[::-1]
         if nominal_degree is not None and nominal_degree + 1 > c.size:
             c = np.concatenate([c, np.zeros(nominal_degree + 1 - c.size)])
         return cls(c, nominal_degree if nominal_degree is not None else c.size - 1)
@@ -137,10 +137,6 @@ class Polynomial:
         """P(e^{i phi} z)."""
         return self.scale_argument(cmath.exp(1j * phi))
 
-    def hadamard(self, other):
-        self._check_degree(other)
-        return Polynomial(self._coeffs * other._coeffs, self._n)
-
     def approx_eq(self, other, tol=COEFF_TOL):
         """Coefficientwise comparison relative to the larger max modulus."""
         self._check_degree(other)
@@ -204,15 +200,19 @@ class LambdaParam:
         return abs(self.lam - self.upper) <= 1e-15
 
 
-# module-level op aliases matching the public surface ------------------------
+def _expand(factors, leading=1.0):
+    """Ascending coefficients of leading * prod (1 + f z) over the factors f."""
+    c = np.array([complex(leading)])
+    for f in factors:
+        nxt = np.zeros(c.size + 1, dtype=complex)
+        nxt[:-1] += c
+        nxt[1:] += complex(f) * c
+        c = nxt
+    return c
 
 
-def evaluate(p, z):
-    return p(z)
-
-
-def trimmed(p, tol=1e-13):
-    """Drop leading coefficients that are negligible relative to the largest.
+def trimmed(p):
+    """Drop leading coefficients within TRIM_TOL of the largest.
 
     Constructed products (differences of two convolutions) cancel their
     extreme coefficients exactly in theory but leave rounding residue in
@@ -223,33 +223,9 @@ def trimmed(p, tol=1e-13):
     c = p.coeffs
     scale = p.norm()
     d = c.size - 1
-    while d > 0 and abs(c[d]) <= tol * scale:
+    while d > 0 and abs(c[d]) <= TRIM_TOL * scale:
         d -= 1
     return Polynomial(c[: d + 1], d)
-
-
-def n_inverse(p):
-    return p.n_inverse()
-
-
-def rotate_plus(p, lp):
-    if p.nominal_degree != lp.n:
-        raise DegreeMismatch(f"polynomial degree {p.nominal_degree} != {lp.n}")
-    return p.rotate(+lp.lam / 2.0)
-
-
-def rotate_minus(p, lp):
-    if p.nominal_degree != lp.n:
-        raise DegreeMismatch(f"polynomial degree {p.nominal_degree} != {lp.n}")
-    return p.rotate(-lp.lam / 2.0)
-
-
-def hadamard(f, g):
-    return f.hadamard(g)
-
-
-def scale_argument(p, c):
-    return p.scale_argument(c)
 
 
 def self_inversive_phase(p, tol=COEFF_TOL):

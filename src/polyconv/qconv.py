@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OutOfRange
-from .poly import LambdaParam, Polynomial
+from .poly import LambdaParam, Polynomial, _expand
 
 
 def _check_lambda(n, lam, allow_upper=False):
@@ -80,14 +80,7 @@ def q_extremal(n, lam):
 
 def gauss_product(n, q):
     """R_n(q; z) = prod_{j=1}^n (1 + q^{j-1} z), expanded."""
-    c = np.array([1.0 + 0.0j])
-    for j in range(1, n + 1):
-        f = complex(q) ** (j - 1)
-        nxt = np.zeros(c.size + 1, dtype=complex)
-        nxt[: c.size] += c
-        nxt[1:] += f * c
-        c = nxt
-    return Polynomial(c, n)
+    return Polynomial(_expand([complex(q) ** j for j in range(n)]), n)
 
 
 def grace_szego(f, g):

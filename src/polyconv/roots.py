@@ -10,13 +10,19 @@ pencil of polynomials takes zeros on the circle without root finding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence, NotOnCircle
 
 CIRCLE_TOL = 1e-7
+#: m-fold clusters are sought within 3 * CLUSTER_TOL**(1/m)
+CLUSTER_TOL = 1e-8
+#: relative size of p and its derivatives that _is_multiple reads as zero
+MULTIPLE_REL_TOL = 1e-7
+#: argument distance at which interspersed() reads two zeros as shared
+ANG_TOL = 1e-9
 
 INSIDE = "INSIDE"
 ON = "ON"
@@ -122,7 +128,7 @@ def _refine_multiple(derivs, z, m, radius):
     return z0 if abs(z0 - z) < radius else z
 
 
-def _is_multiple(derivs, z0, m, rel_tol=1e-7):
+def _is_multiple(derivs, z0, m):
     """Do p and its first m-1 derivatives all vanish at z0 (relatively)?
 
     Discriminates a genuine m-fold root (derivative values at rounding
@@ -134,12 +140,12 @@ def _is_multiple(derivs, z0, m, rel_tol=1e-7):
         if norm == 0.0:
             continue
         size = norm * max(1.0, abs(z0)) ** (c.size - 1)
-        if abs(np.polyval(c, z0)) > rel_tol * size:
+        if abs(np.polyval(c, z0)) > MULTIPLE_REL_TOL * size:
             return False
     return True
 
 
-def _cluster(points, cluster_tol, rev):
+def _cluster(points, rev):
     """Group approximate roots into multiple roots, highest multiplicity
     first, accepting a group only when the derivative test confirms it.
 
@@ -153,7 +159,7 @@ def _cluster(points, cluster_tol, rev):
     derivs = None
     found = []
     for m in range(points.size, 1, -1):
-        radius = 3.0 * cluster_tol ** (1.0 / m)
+        radius = 3.0 * CLUSTER_TOL ** (1.0 / m)
         adj = dist[np.ix_(live, live)] < radius
         np.fill_diagonal(adj, False)
         # the radius shrinks with m and live only shrinks: no later m links
@@ -177,7 +183,7 @@ def _cluster(points, cluster_tol, rev):
     return found
 
 
-def find_roots(p, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_TOL):
+def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
     """All roots of p with multiplicities, classified against the unit circle.
 
     Raises ValueError on a non-finite coefficient, and NoConvergence when
@@ -211,7 +217,7 @@ def find_roots(p, tol=1e-13, cluster_tol=1e-8, circle_tol=CIRCLE_TOL):
         step = np.where(np.abs(step) < 0.1, step, 0.0)
         approx = approx - step
 
-    found = _cluster(approx, cluster_tol, rev)
+    found = _cluster(approx, rev)
     if zero_mult:
         found.append((0.0 + 0.0j, zero_mult))
 
@@ -256,10 +262,10 @@ def arg_separation(rs):
     return float(min(gaps))
 
 
-def interspersed(p_roots, q_roots, strict=False, ang_tol=1e-9):
+def interspersed(p_roots, q_roots, strict=False):
     """Do the unimodular zeros of P and Q alternate on the circle?
 
-    Coincident zeros (one from each side, within ang_tol of argument) are
+    Coincident zeros (one from each side, within ANG_TOL of argument) are
     admitted in the non-strict variant; strict additionally requires the
     zero sets to be disjoint.  Multiple zeros on either side break
     alternation and give False.
@@ -271,7 +277,7 @@ def interspersed(p_roots, q_roots, strict=False, ang_tol=1e-9):
 
     def circ_close(a, b):
         d = abs(a - b) % (2.0 * math.pi)
-        return min(d, 2.0 * math.pi - d) <= ang_tol
+        return min(d, 2.0 * math.pi - d) <= ANG_TOL
 
     shared = any(circ_close(a, b) for a in pa for b in qa)
     if strict and shared:

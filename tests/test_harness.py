@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
+from polyconv import harness
 from polyconv.errors import OutOfRange, SamplerExhausted
 from polyconv.poly import LambdaParam
+from polyconv.roots import RootSet
 from polyconv.classes import in_D_third, in_T
 from polyconv.domains import IN, BOUNDARY, contains, limacon_inner, limacon_outer
 from polyconv.harness import (
     TrialReport,
     run_gauss_lucas_trial,
     run_grid,
+    run_herglotz_trial,
     run_limacon_trial,
     run_main_trial,
     run_suffridge_trial,
@@ -122,12 +125,37 @@ class TestRunners:
         rep = run_limacon_trial(1.0, 0.25, 4, trials=14, seed=0)
         assert rep.ok
 
+    def test_limacon_failure_path(self, monkeypatch):
+        # every product gets the roots 0 and 5: 5 lies outside the Möbius
+        # disk and the inner limaçon, 0 outside the disk's complement and
+        # the outer limaçon, so each positive arm sees a root outside its
+        # region
+        monkeypatch.setattr(harness, "find_roots",
+                            lambda p: RootSet(((0j, 1), (5 + 0j, 1)), 0.0))
+        rep = run_limacon_trial(1.0, 0.25, 4, trials=6, seed=0)
+        assert rep.trials == 6 and rep.failures == 6
+        assert rep.worst_margin == -1.0
+        assert [w["tag"] for w in rep.witnesses] == [
+            "arm closed*inner", "arm open*closed-inner", "arm complement*outer",
+            "arm complement-closed*outer-closed", "arm inner-self", "arm outer-self"]
+        assert [w["offending_root"] for w in rep.witnesses] == [
+            [5.0, 0.0], [5.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 0.0], [0.0, 0.0]]
+        assert all(w["trial"] == t and len(w["polys"]) == 2
+                   for t, w in enumerate(rep.witnesses))
+
     def test_reproducible_bit_exact(self):
-        a = run_suffridge_trial(3, 0.6, trials=8, seed=42)
-        b = run_suffridge_trial(3, 0.6, trials=8, seed=42)
-        assert a.to_json() == b.to_json()
-        c = run_suffridge_trial(3, 0.6, trials=8, seed=43)
-        assert c.to_json() != a.to_json()
+        runs = [
+            lambda seed: run_suffridge_trial(3, 0.6, trials=8, seed=seed),
+            lambda seed: run_main_trial(3, 0.6, trials=6, seed=seed),
+            lambda seed: run_main_trial(3, 0.0, trials=3, seed=seed),
+            lambda seed: run_gauss_lucas_trial(3, 0.6, trials=6, seed=seed),
+            lambda seed: run_limacon_trial(1.0, 0.25, 3, trials=7, seed=seed),
+            lambda seed: run_herglotz_trial(3, seed=seed),
+        ]
+        for run in runs:
+            a = run(42)
+            assert a.to_json() == run(42).to_json()
+            assert run(43).to_json() != a.to_json()
 
     def test_grid_shape(self):
         grid = list(standard_grid(n_max=4))

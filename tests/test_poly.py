@@ -14,8 +14,6 @@ from polyconv.poly import (
     LambdaParam,
     Polynomial,
     is_self_inversive_phase_pair,
-    rotate_minus,
-    rotate_plus,
     self_inversive_phase,
     trimmed,
 )
@@ -46,6 +44,27 @@ class TestBasics:
         p = Polynomial.from_roots([1, -1], leading=2.0)
         # 2(z-1)(z+1) = 2z^2 - 2
         assert np.allclose(p.coeffs, [-2, 0, 2])
+
+    def test_from_roots_matches_linear_factor_loop_bit_for_bit(self):
+        def reference(roots, leading):
+            # multiply in one factor z - r at a time, ascending coefficients
+            c = np.array([complex(leading)])
+            for r in roots:
+                nxt = np.zeros(c.size + 1, dtype=complex)
+                nxt[1:] += c
+                nxt[:-1] -= complex(r) * c
+                c = nxt
+            return c
+
+        rng = np.random.default_rng(11)
+        for i in range(200):
+            d = 1 + i % 16
+            roots = rng.normal(size=d) + 1j * rng.normal(size=d)
+            leading = complex(rng.normal(), rng.normal())
+            assert np.array_equal(Polynomial.from_roots(roots).coeffs,
+                                  reference(roots, 1.0)), (i, d)
+            assert np.array_equal(Polynomial.from_roots(roots, leading=leading).coeffs,
+                                  reference(roots, leading)), (i, d)
 
     def test_evaluation_matches_horner_and_vectorized(self):
         p = Polynomial([1, 2 + 1j, 3], 2)
@@ -96,15 +115,11 @@ class TestRotations:
     def test_rotate_plus_minus(self):
         lp = LambdaParam(2, 0.6)
         p = Polynomial([1, 1, 1], 2)
-        up = rotate_plus(p, lp)
-        dn = rotate_minus(p, lp)
+        up = p.rotate(+lp.lam / 2.0)
+        dn = p.rotate(-lp.lam / 2.0)
         w = cmath.exp(1j * 0.3)
         assert np.allclose(up.coeffs, [1, w, w * w])
         assert np.allclose(dn.coeffs, [1, np.conj(w), np.conj(w) ** 2])
-
-    def test_degree_guard(self):
-        with pytest.raises(DegreeMismatch):
-            rotate_plus(Polynomial([1, 1], 1), LambdaParam(2, 0.5))
 
 
 class TestSelfInversivePhase:

@@ -196,8 +196,8 @@ class TestAgainstOracle:
 
     @pytest.mark.xfail(strict=True, reason=(
         "a pair 2e-4 apart lies inside the m = 2 clustering radius "
-        "3 * sqrt(cluster_tol) = 3e-4, and _is_multiple's relative test "
-        "(1e-7) accepts it as one double zero tagged ON"))
+        "3 * sqrt(CLUSTER_TOL) = 3e-4, and _is_multiple's relative test "
+        "(MULTIPLE_REL_TOL = 1e-7) accepts it as one double zero tagged ON"))
     @pytest.mark.parametrize("r", [1.0 - 1e-4, 1.0 + 1e-4])
     def test_reflected_pairs_inside_cluster_radius(self, r):
         self.reflected_pairs(r)
