@@ -23,6 +23,7 @@ inequality, kept independent of the circle sign test.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -234,12 +235,17 @@ def in_D_third(F, lp, closed=True):
     indeterminate (closed: member, open: non-member).
     """
     _require_open_interval(lp)
-    label = _label("D", closed)
-    early, _ = _route_roots(F, lp, closed, label, "THIRD_CHAR")
+    early, _ = _route_roots(F, lp, closed, _label("D", closed), "THIRD_CHAR")
     if early is not None:
         return early
+    return _third_sign(F, lp, closed)
+
+
+def _third_sign(F, lp, closed):
+    """in_D_third's sign test alone, for F of exact degree n whose zeros
+    are known to lie strictly inside the disk (lambda interior)."""
     h = lp.lam / 2.0
-    return _sign_verdict(label, closed, "THIRD_CHAR",
+    return _sign_verdict(_label("D", closed), closed, "THIRD_CHAR",
                          cmath.exp(-1j * lp.n * h) * F.rotate(h).coeffs,
                          F.rotate(-h).coeffs)
 
@@ -401,6 +407,18 @@ def in_D_second(P, Q, lp, closed=True):
     return _sign_verdict(label, closed, "SECOND_CHAR_GRID", A.coeffs, B.coeffs)
 
 
+@functools.lru_cache(maxsize=2)
+def _oracle_grid(closed):
+    """eq8_oracle's exterior grid, radii by angles, flattened (read-only)."""
+    radii = np.geomspace(1.0 + CIRCLE_TOL, 8.0, ORACLE_RADII)
+    if not closed:
+        radii = np.concatenate([[1.0], radii])
+    angles = np.exp(2j * np.pi * np.arange(ORACLE_ANGLES) / ORACLE_ANGLES)
+    z = np.outer(radii, angles).ravel()
+    z.flags.writeable = False
+    return z
+
+
 def eq8_oracle(F, lp, closed=True):
     """Direct grid evaluation of the defining half-plane inequality for the
     rotated quotient on the exterior of the disk.
@@ -423,18 +441,18 @@ def eq8_oracle(F, lp, closed=True):
             return v
     h = lp.lam / 2.0
     phase = cmath.exp(-1j * lp.n * h)
-    Fp = F.rotate(h)
-    Fm = F.rotate(-h)
-    radii = np.geomspace(1.0 + CIRCLE_TOL, 8.0, ORACLE_RADII)
-    if not closed:
-        radii = np.concatenate([[1.0], radii])
-    angles = np.exp(2j * np.pi * np.arange(ORACLE_ANGLES) / ORACLE_ANGLES)
-    z = np.outer(radii, angles).ravel()
-    num = Fp.eval_many(z)
-    den = Fm.eval_many(z)
+    z = _oracle_grid(closed)
+    # F_+ and F_- by Horner in place, the steps of np.polyval from zeros
+    rows = np.stack([F.rotate(h).coeffs, F.rotate(-h).coeffs], axis=1)[::-1, :, None]
+    num, den = y = np.zeros((2, z.size), dtype=complex)
+    for col in rows:
+        y *= z
+        y += col
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.imag(phase * num / den)
-    vals = vals[np.isfinite(vals)]
+        # phase * num / den in place, operands in that order
+        np.multiply(phase, num, out=num)
+        np.divide(num, den, out=num)
+    vals = num.imag[np.isfinite(num.imag)]
     margin = float(np.min(vals)) if vals.size else -math.inf
     member = margin > 0.0
     return MembershipVerdict(label, member, "EQ8_GRID", margin,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict, fields, replace
 import numpy as np
 
 from . import classes, domains, harness, herglotz, qconv
-from .errors import NoConvergence, PolyconvError
+from .errors import BadParams, NoConvergence, PolyconvError
 from .poly import LambdaParam, Polynomial
 from .roots import find_roots
 
@@ -219,7 +219,11 @@ def _cmd_verify(args, cfg):
                                              args.trials, seed=seed)]
     elif args.theorem == "herglotz":
         reports = [harness.run_herglotz_trial(args.trials, seed)]
-    elif args.n is not None and args.lam is not None:
+    elif (args.n is None) != (args.lam is None):
+        given, missing = ("--n", "--lambda") if args.lam is None else ("--lambda", "--n")
+        raise BadParams(f"{given} needs {missing}: give both for one grid point, "
+                        "or neither for the whole grid")
+    elif args.n is not None:
         reports = [harness._THEOREMS[args.theorem](args.n, args.lam, args.trials, seed)]
     else:
         reports = harness.run_grid(args.theorem, trials=args.trials, seed=seed,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classes import (
+    _third_sign,
     extremal_family,
     in_D_third,
     in_T,
@@ -173,7 +174,9 @@ def sample_D(n, lam, rng, strategy=None):
             roots = radius * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(
                 2j * np.pi * rng.uniform(0.0, 1.0, n))
             F = Polynomial.from_roots(roots)
-            v = in_D_third(F, lp, closed=False)
+            # every zero is inside |z| < 0.95: in_D_third's root-finding
+            # preamble could only confirm it
+            v = _third_sign(F, lp, closed=False)
             if v.member and v.margin > MARGIN_TOL:
                 return F, tag
         raise SamplerExhausted(
@@ -218,13 +221,14 @@ def _judge(report, margin, witness, indeterminate=False):
     """Standard bookkeeping: indeterminate or within MARGIN_TOL of 0 is
     skipped, else a positive margin passes and any other fails.  Outside
     that band a determinate verdict's member flag is margin > 0 on every
-    route, so verdicts are judged by their margin too."""
+    route, so verdicts are judged by their margin too.  witness is called,
+    without arguments, for a failure only."""
     if indeterminate or abs(margin) < MARGIN_TOL:
         report.skip()
     elif margin > 0:
         report.record(margin)
     else:
-        report.record(margin, witness)
+        report.record(margin, witness())
 
 
 def run_suffridge_trial(n, lam, trials, seed=0):
@@ -242,7 +246,8 @@ def run_suffridge_trial(n, lam, trials, seed=0):
         G = sample_T(n, lam, strict=True, rng=rng)
         H = lambda_convolve(F, G, lp)
         v = in_T(H, lp, closed=False)
-        _judge(rep, v.margin, _wit("convolution left open class", F, G, H, trial=t),
+        _judge(rep, v.margin,
+               lambda: _wit("convolution left open class", F, G, H, trial=t),
                v.indeterminate)
     return rep
 
@@ -295,10 +300,12 @@ def run_main_trial(n, lam, trials, seed=0, mu=None):
         if lam == 0.0:
             rs = find_roots(H) if not H.is_zero else None
             margin = min(1.0 - abs(z) for z, _ in rs.roots) if rs else math.inf
-            _judge(rep, margin, _wit("convolution root left the disk", F, G, H, trial=t))
+            _judge(rep, margin,
+                   lambda: _wit("convolution root left the disk", F, G, H, trial=t))
             continue
         v = in_D_third(H, lp, closed=False)
-        _judge(rep, v.margin, _wit("convolution left open disk class", F, G, H, trial=t),
+        _judge(rep, v.margin,
+               lambda: _wit("convolution left open disk class", F, G, H, trial=t),
                v.indeterminate)
     return rep
 
@@ -317,8 +324,9 @@ def _main_part_two(n, lam, mu, rng, rep, t):
             return
     f = Polynomial(F.coeffs / q_extremal(n, lam).coeffs.real, n)
     v = pre_class_test(f, LambdaParam(n, mu), "PD_open")
-    _judge(rep, v.margin, _wit("pre-class member failed to lift", F, trial=t,
-                               mu=mu, strategy=tag), v.indeterminate)
+    _judge(rep, v.margin,
+           lambda: _wit("pre-class member failed to lift", F, trial=t, mu=mu, strategy=tag),
+           v.indeterminate)
 
 
 def run_limacon_trial(tau, gamma, n, trials, seed=0):
@@ -448,7 +456,7 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
         elif mode == 1:  # open disk-class members: image in open disk
             F, _ = sample_D(n, lam, rng) if lam > 0 else sample_D(n, 0.0, rng)
             _judge(rep, -_escape_distance(delta(F, lp)),
-                   _wit("open image escaped", F, trial=t))
+                   lambda: _wit("open image escaped", F, trial=t))
         else:  # converse on self-inversive inputs: non-member -> image escapes
             if lam <= 1e-9:
                 rep.skip()
@@ -459,8 +467,8 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
                 rep.skip()
                 continue
             _judge(rep, _escape_distance(delta(F, lp)),
-                   _wit("image stayed in the disk for a circle-class non-member",
-                        F, trial=t))
+                   lambda: _wit("image stayed in the disk for a circle-class non-member",
+                                F, trial=t))
     return rep
 
 

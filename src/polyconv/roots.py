@@ -9,6 +9,7 @@ pencil of polynomials takes zeros on the circle without root finding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,9 @@ CLUSTER_TOL = 1e-8
 MULTIPLE_REL_TOL = 1e-7
 #: argument distance at which interspersed() reads two zeros as shared
 ANG_TOL = 1e-9
+#: most Newton steps per _circle_sign call; bisection of one node spacing
+#: either side reaches the 1e-13 step well within them
+NEWTON_STEPS = 60
 
 INSIDE = "INSIDE"
 ON = "ON"
@@ -155,14 +159,23 @@ def _cluster(points, rev):
     roots are rejected by _is_multiple.
     """
     dist = np.abs(points[:, None] - points[None, :])
+    np.fill_diagonal(dist, np.inf)
+    # nearest-neighbour distances over all points, sorted: a component of m
+    # points needs m points with a neighbour inside the radius, and live only
+    # shrinks, so fewer than m such points rule multiplicity m out
+    near = np.sort(dist.min(axis=1, initial=np.inf))
     live = np.arange(points.size)
     derivs = None
     found = []
     for m in range(points.size, 1, -1):
         radius = 3.0 * CLUSTER_TOL ** (1.0 / m)
+        linked = int(np.searchsorted(near, radius))
+        # the radius shrinks with m (and live only shrinks): no later m links
+        if not linked:
+            break
+        if linked < m:
+            continue
         adj = dist[np.ix_(live, live)] < radius
-        np.fill_diagonal(adj, False)
-        # the radius shrinks with m and live only shrinks: no later m links
         if not adj.any():
             break
         merged = []
@@ -207,12 +220,22 @@ def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
     c = c[k0:]
     approx = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
 
-    # Newton polish (helps simple roots; harmless on clusters)
+    # Newton polish (helps simple roots; harmless on clusters).  p and p'
+    # come from one Horner pass, the steps of np.polyval (y = y * z + c from
+    # zeros) on [z, z] against rows [rev; 0, drev] with every coefficient
+    # repeated once per root: flat arrays keep each numpy call cheap, and
+    # the leading 0 keeps p' exact
     rev = c[::-1] / c[-1]
     drev = (c[1:] * np.arange(1, c.size))[::-1] / c[-1]
+    rows = np.repeat(np.stack([rev, np.concatenate([[0.0], drev])], axis=1),
+                     approx.size, axis=1)
     for _ in range(3):
-        pv = np.polyval(rev, approx)
-        dv = np.polyval(drev, approx)
+        z = np.concatenate([approx, approx])
+        y = np.zeros(z.size, dtype=complex)
+        for col in rows:
+            y *= z
+            y += col
+        pv, dv = y[: approx.size], y[approx.size:]
         step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)
         step = np.where(np.abs(step) < 0.1, step, 0.0)
         approx = approx - step
@@ -232,7 +255,7 @@ def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
         if not residual <= math.sqrt(tol):  # a NaN residual fails too
             raise NoConvergence(
                 f"residual {residual:.3e} above tolerance after eigensolve and polish")
-    found.sort(key=lambda rm: (round(abs(rm[0]), 12), np.angle(rm[0])))
+    found.sort(key=lambda rm: (round(abs(rm[0]), 12), math.atan2(rm[0].imag, rm[0].real)))
     return RootSet(tuple(found), residual, circle_tol)
 
 
@@ -302,6 +325,39 @@ def interspersed(p_roots, q_roots, strict=False):
     return all(owners[i] != owners[(i + 1) % k] for i in range(k))
 
 
+#: s, s', s'', q, q', q'' (derivatives in phi, q = |a|^2 + |b|^2) as sums of
+#: w Im or w Re of x conj(y), x and y among v = (a, b, a', b', a'', b''):
+#: (form, part, w, x, y)
+_FORM_TERMS = (
+    (0, "im", 1, 0, 1),                                          # Im a b*
+    (1, "im", 1, 2, 1), (1, "im", 1, 0, 3),                      # Im(a' b* + a b'*)
+    (2, "im", 1, 4, 1), (2, "im", 2, 2, 3), (2, "im", 1, 0, 5),  # Im(a'' b* + 2 a' b'* + a b''*)
+    (3, "re", 1, 0, 0), (3, "re", 1, 1, 1),                      # |a|^2 + |b|^2
+    (4, "re", 2, 2, 0), (4, "re", 2, 3, 1),                      # 2 Re(a' a* + b' b*)
+    (5, "re", 2, 4, 0), (5, "re", 2, 5, 1),                      # 2 Re(a'' a* + b'' b*
+    (5, "re", 2, 2, 2), (5, "re", 2, 3, 3),                      #      + |a'|^2 + |b'|^2)
+)
+_FORM_X = np.array([t[3] for t in _FORM_TERMS])
+_FORM_Y = np.array([t[4] for t in _FORM_TERMS])
+#: the weights w by term and form, of the imaginary and of the real parts
+_FORM_IM, _FORM_RE = (
+    np.array([[t[2] * (t[0] == f and t[1] == part) for f in range(6)] for t in _FORM_TERMS],
+             dtype=float)
+    for part in ("im", "re"))
+
+
+@functools.lru_cache(maxsize=32)
+def _circle_nodes(size):
+    """The M = max(64, 32 size) nodes of _circle_sign and the matrix
+    exp(i x_j k), k < size, that evaluates a polynomial there (read-only)."""
+    m = max(64, 32 * size)
+    x = 2.0 * np.pi * np.arange(m) / m
+    e = np.exp(1j * np.multiply.outer(x, np.arange(size)))
+    x.flags.writeable = False
+    e.flags.writeable = False
+    return x, e
+
+
 def _circle_sign(A, B):
     """Certified sign of s(phi) = Im(A conj B)(e^{i phi}) on the unit circle.
 
@@ -309,9 +365,12 @@ def _circle_sign(A, B):
     M = max(64, 32(d + 1)) nodes, never through the product coefficients of
     s, whose rounding swamps s where A and B nearly share a zero by the
     circle.  g = s / (|a|^2 + |b|^2) is oriented by sigma, the sign of its
-    larger extreme, and each node minimum of sigma*g is refined on a local
-    grid zoomed six times by 16, to 6e-8 of the node spacing.  The rounding
-    of s is bounded by |a| e_B + |b| e_A + e_A e_B, e_X = 4(d+1) eps sum|X_k|.
+    larger extreme, and each node minimum of sigma*g is refined by Newton's
+    method on g' = (s'q - s q')/q^2, q = |a|^2 + |b|^2, from the vertex of
+    the parabola through the node and its two neighbours, bracketed to one
+    node spacing either side and guarded by bisection, to a step of 1e-13;
+    a refined value above its node's keeps the node.  The rounding of s is
+    bounded by |a| e_B + |b| e_A + e_A e_B, e_X = 4(d+1) eps sum|X_k|.
     Returns (margin, indeterminate, z): the least sigma*g and its circle
     point z; indeterminate unless every minimum clears its bound, or one
     falls below minus its bound while a node clears it.
@@ -320,29 +379,55 @@ def _circle_sign(A, B):
     AB = np.stack([A, B], axis=1)
     eA, eB = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)
 
-    def sign(x):
-        ab = np.exp(1j * np.multiply.outer(x, k)) @ AB
-        a, b = ab[..., 0], ab[..., 1]
+    def sign(a, b):
         s = np.imag(a * np.conj(b))
-        den = np.abs(a) ** 2 + np.abs(b) ** 2
-        g = np.divide(s, den, out=np.zeros_like(s), where=den > 0.0)
+        q = np.abs(a) ** 2 + np.abs(b) ** 2
+        g = np.divide(s, q, out=np.zeros_like(s), where=q > 0.0)
         return s, g, np.abs(a) * eB + np.abs(b) * eA + eA * eB
 
-    m = max(64, 32 * len(A))
-    x = 2.0 * np.pi * np.arange(m) / m
-    s, g, err = sign(x)
-    sigma = 1.0 if g.max() >= -g.min() else -1.0
-    clears = bool(np.any(sigma * s > err))
-    t = sigma * g
-    x = x[np.union1d(np.flatnonzero((t < np.roll(t, 1)) & (t <= np.roll(t, -1))),
-                     [np.argmin(t)])]
-    w = 2.0 * np.pi / m
-    for _ in range(6):
-        pts = x[:, None] + w * np.linspace(-1.0, 1.0, 33)
-        x = pts[np.arange(x.size), np.argmin(sigma * sign(pts)[1], axis=1)]
-        w /= 16.0
-    s, g, err = sign(x)
+    x, nodes = _circle_nodes(len(A))
+    s0, g0, err0 = sign(*(nodes @ AB).T)
+    sigma = 1.0 if g0.max() >= -g0.min() else -1.0
+    clears = bool(np.any(sigma * s0 > err0))
+    t = sigma * g0
+    # the node minima (a tie counts at its first node) and the least node
+    tt = np.concatenate([t[-1:], t, t[:1]])
+    low = (t < tt[:-2]) & (t <= tt[2:])
+    low[np.argmin(t)] = True
+    i = np.flatnonzero(low)
+    w = x[1]
+    tl, t0, tr = tt[i], t[i], tt[i + 2]
+    curv = tl - 2.0 * t0 + tr
+    lo, hi = x[i] - w, x[i] + w
+    xs = x[i] + np.divide(0.5 * w * (tl - tr), curv, out=np.zeros_like(curv),
+                          where=curv > 0.0)
+    # v from one product, then s, s', s'', q, q', q'' from v's products
+    cols = np.stack([A, B, 1j * k * A, 1j * k * B, -k * k * A, -k * k * B], axis=1)
+    nxt = xs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            xs = nxt
+            v = np.exp(1j * np.multiply.outer(xs, k)) @ cols
+            p = v[:, _FORM_X] * np.conj(v[:, _FORM_Y])
+            s, ds, dds, q, dq, ddq = (p.imag @ _FORM_IM + p.real @ _FORM_RE).T
+            dg = sigma * (ds * q - s * dq) / q**2
+            ddg = sigma * (dds * q - s * ddq) / q**2 - 2.0 * dq * dg / q
+            lo = np.where(dg < 0.0, xs, lo)
+            hi = np.where(dg > 0.0, xs, hi)
+            nxt = xs - dg / ddg
+            # inclusive: a converged iterate may sit on an end of its bracket
+            nxt = np.where((ddg > 0.0) & (q > 0.0) & (lo <= nxt) & (nxt <= hi),
+                           nxt, 0.5 * (lo + hi))
+            if np.abs(nxt - xs).max() <= 1e-13:
+                break
+    s, g, err = sign(v[:, 0], v[:, 1])
+    # never report a minimum above the node it started from
+    node = sigma * g > t0
+    s = np.where(node, s0[i], s)
+    g = np.where(node, g0[i], g)
+    err = np.where(node, err0[i], err)
+    xs = np.where(node, x[i], xs)
     crossed = clears and bool(np.any(sigma * s < -err))
-    i = int(np.argmin(sigma * g))
-    return (float(sigma * g[i]), not crossed and not bool(np.all(sigma * s > err)),
-            complex(np.exp(1j * x[i])))
+    j = int(np.argmin(sigma * g))
+    return (float(sigma * g[j]), not crossed and not bool(np.all(sigma * s > err)),
+            complex(np.exp(1j * xs[j])))

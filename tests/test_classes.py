@@ -231,6 +231,38 @@ class TestDiskRoutes:
         assert in_D(zn, lp, closed=True).member
 
 
+def reference_oracle_margin(F, lp, closed):
+    """eq8_oracle's margin with the grid built per call and F_+ and F_-
+    evaluated by Polynomial.eval_many: the reference it must match bit for
+    bit."""
+    h = lp.lam / 2.0
+    radii = np.geomspace(1.0 + classes.CIRCLE_TOL, 8.0, classes.ORACLE_RADII)
+    if not closed:
+        radii = np.concatenate([[1.0], radii])
+    angles = np.exp(2j * np.pi * np.arange(classes.ORACLE_ANGLES) / classes.ORACLE_ANGLES)
+    z = np.outer(radii, angles).ravel()
+    num = F.rotate(h).eval_many(z)
+    den = F.rotate(-h).eval_many(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.imag(cmath.exp(-1j * lp.n * h) * num / den)
+    vals = vals[np.isfinite(vals)]
+    return float(np.min(vals)) if vals.size else -math.inf
+
+
+def test_oracle_margin_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(88)
+    for t in range(96):
+        n = 1 + t % 16
+        roots = rng.uniform(0.2, 1.3) * np.sqrt(rng.uniform(size=n)) * np.exp(
+            2j * np.pi * rng.uniform(size=n))
+        F = Polynomial.from_roots(roots, leading=cmath.exp(1j * rng.uniform(0.0, TP)))
+        lp = LambdaParam(n, rng.uniform(0.05, 0.95) * TP / n)
+        closed = bool(t % 2)
+        v = eq8_oracle(F, lp, closed)
+        if v.method == "EQ8_GRID":
+            assert v.margin == reference_oracle_margin(F, lp, closed)
+
+
 def pencil_scan_margin(F, lp, thetas=720):
     """1 - max|z| over the zeros of F and of cos(t) A - sin(t) B on a grid of
     t in [0, pi), found by np.roots: the theta-grid method that the second

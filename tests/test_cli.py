@@ -219,6 +219,15 @@ class TestVerify:
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["failures"] == 0
 
+    @pytest.mark.parametrize("theorem", ["suffridge", "main", "gausslucas"])
+    @pytest.mark.parametrize("given,missing", [(["--n", "3"], "--lambda"),
+                                               (["--lambda", "0.5"], "--n")])
+    def test_one_grid_option_alone_is_usage_error(self, theorem, given, missing, capsys):
+        # one of --n and --lambda alone used to run the whole grid
+        assert main(["verify", "--theorem", theorem, "--trials", "1", *given]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"needs {missing}" in err
+
     def test_limacon_point(self):
         assert main(["verify", "--theorem", "limacon", "--tau", "0,2",
                      "--gamma", "0.25", "--n", "4", "--trials", "7"]) == 0

@@ -10,7 +10,8 @@ from polyconv import harness
 from polyconv.errors import OutOfRange, SamplerExhausted
 from polyconv.poly import LambdaParam
 from polyconv.roots import RootSet
-from polyconv.classes import in_D_third, in_T
+from polyconv.classes import _third_sign, in_D_third, in_T
+from polyconv.poly import Polynomial
 from polyconv.domains import IN, BOUNDARY, contains, limacon_inner, limacon_outer
 from polyconv.harness import (
     TrialReport,
@@ -66,6 +67,20 @@ class TestSamplers:
             closed = strategy == "boundary"
             assert in_D_third(F, lp, closed=closed).member
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rejection_draws_skip_the_preamble(self, n):
+        # sample_D's rejection draws have every zero inside |z| < 0.95, so
+        # the sign test alone gives in_D_third's verdict
+        rng = np.random.default_rng(100 + n)
+        for j in range(12):
+            lp = LambdaParam(n, (j + 0.5) / 12 * 2 * math.pi / n)
+            radius = rng.uniform(0.2, 0.95)
+            F = Polynomial.from_roots(radius * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(
+                2j * np.pi * rng.uniform(0.0, 1.0, n)))
+            for closed in (False, True):
+                assert _third_sign(F, lp, closed).as_dict() == \
+                    in_D_third(F, lp, closed).as_dict()
+
     def test_sample_D_lambda_zero(self):
         rng = np.random.default_rng(4)
         F, tag = sample_D(3, 0.0, rng)
@@ -99,6 +114,21 @@ class TestReport:
         assert rep.worst_margin == -0.1
         assert not rep.ok
         assert rep.failures == len(rep.witnesses)
+
+    def test_judge_builds_the_witness_on_failure_only(self):
+        built = []
+
+        def witness():
+            built.append(1)
+            return {"tag": "bad"}
+
+        rep = TrialReport("t")
+        harness._judge(rep, 0.5, witness)
+        harness._judge(rep, 1e-9, witness)
+        harness._judge(rep, -0.5, witness, indeterminate=True)
+        assert built == [] and rep.failures == 0
+        harness._judge(rep, -0.5, witness)
+        assert built == [1] and rep.witnesses == [{"tag": "bad"}]
 
     def test_json_round_trip(self):
         rep = TrialReport("t", seed=1)

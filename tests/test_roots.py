@@ -12,9 +12,14 @@ from polyconv.errors import NoConvergence, NotOnCircle
 from polyconv.poly import LambdaParam, Polynomial
 from polyconv.qconv import q_extremal
 from polyconv.roots import (
+    CLUSTER_TOL,
     ON,
     RootSet,
+    _circle_sign,
+    _companion_roots,
     _components,
+    _is_multiple,
+    _refine_multiple,
     arg_separation,
     find_roots,
     interspersed,
@@ -213,6 +218,172 @@ class TestAgainstOracle:
             on = [m for (_, m), t in zip(rs.roots, rs.tags()) if t == ON]
             assert on and all(m % 2 == 0 for m in on)
             assert sum(on) == 2 * (n - 1)
+
+
+def reference_find_roots(p):
+    """find_roots with the polish by two np.polyval calls, linkage tried at
+    every multiplicity, and np.angle in the sort key: the reference that
+    find_roots must match bit for bit."""
+    d = p.exact_degree
+    c = np.array(p.coeffs[: d + 1])
+    scale = float(np.max(np.abs(c)))
+    k0 = 0
+    while abs(c[k0]) == 0.0:
+        k0 += 1
+    c = c[k0:]
+    approx = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
+    rev = c[::-1] / c[-1]
+    drev = (c[1:] * np.arange(1, c.size))[::-1] / c[-1]
+    for _ in range(3):
+        pv = np.polyval(rev, approx)
+        dv = np.polyval(drev, approx)
+        step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)
+        step = np.where(np.abs(step) < 0.1, step, 0.0)
+        approx = approx - step
+    dist = np.abs(approx[:, None] - approx[None, :])
+    live = np.arange(approx.size)
+    derivs = None
+    found = []
+    for m in range(approx.size, 1, -1):
+        radius = 3.0 * CLUSTER_TOL ** (1.0 / m)
+        adj = dist[np.ix_(live, live)] < radius
+        np.fill_diagonal(adj, False)
+        if not adj.any():
+            break
+        merged = []
+        for g in _components(adj):
+            if g.size != m:
+                continue
+            if derivs is None:
+                derivs = [np.asarray(rev)]
+                for _ in range(approx.size):
+                    derivs.append(np.polyder(derivs[-1]))
+            z0 = _refine_multiple(derivs, complex(np.mean(approx[live[g]])), m, radius)
+            if _is_multiple(derivs, z0, m):
+                found.append((z0, m))
+                merged.extend(live[g])
+        live = np.setdiff1d(live, merged)
+    found.extend((complex(approx[i]), 1) for i in live)
+    if k0:
+        found.append((0.0 + 0.0j, k0))
+    simple = [z for z, m in found if m == 1]
+    residual = 0.0
+    if simple:
+        vals = np.abs(p.eval_many(simple))
+        residual = float(np.max(vals / (scale * np.maximum(1.0, np.abs(simple)) ** d)))
+    found.sort(key=lambda rm: (round(abs(rm[0]), 12), np.angle(rm[0])))
+    return tuple(found), residual
+
+
+def reference_cases():
+    """Seeded polynomials of degree 1-16, m-fold unimodular roots for
+    m = 2-8 beside simple ones, and reflected pairs about the circle."""
+    rng = np.random.default_rng(1010)
+    for d in range(1, 17):
+        for _ in range(4):
+            yield rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        roots = 0.95 * np.sqrt(rng.uniform(size=d)) * np.exp(2j * np.pi * rng.uniform(size=d))
+        c = Polynomial.from_roots(roots).coeffs.copy()
+        c[: d // 4] = 0.0  # zeros at the origin
+        yield c
+    for m in range(2, 9):
+        for _ in range(3):
+            w = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            others = list(rng.uniform(0.3, 1.7, size=int(rng.integers(0, 5)))
+                          * np.exp(2j * np.pi * rng.uniform(size=1)))
+            yield Polynomial.from_roots([w] * m + others, leading=0.7 - 0.2j).coeffs
+    for r in (1.0 - 1e-3, 1.0 + 1e-3, 1.0 + 1e-4, 1.3):
+        for _ in range(3):
+            e = np.exp(2j * np.pi * rng.uniform(size=3))
+            yield Polynomial.from_roots(list(r * e) + list(e / r) + [0.5j]).coeffs
+
+
+def test_find_roots_matches_reference_bit_for_bit():
+    for c in reference_cases():
+        p = Polynomial(c)
+        rs = find_roots(p)
+        assert (rs.roots, rs.residual) == reference_find_roots(p)
+
+
+def zoom_circle_sign(A, B, zooms=6):
+    """_circle_sign with each node minimum refined on a 33-point grid zoomed
+    `zooms` times by 16, as it was before Newton's method replaced the
+    zooms.  Returns (margin, indeterminate, least node value)."""
+    k = np.arange(len(A))
+    AB = np.stack([A, B], axis=1)
+    eA, eB = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)
+
+    def sign(x):
+        ab = np.exp(1j * np.multiply.outer(x, k)) @ AB
+        a, b = ab[..., 0], ab[..., 1]
+        s = np.imag(a * np.conj(b))
+        den = np.abs(a) ** 2 + np.abs(b) ** 2
+        g = np.divide(s, den, out=np.zeros_like(s), where=den > 0.0)
+        return s, g, np.abs(a) * eB + np.abs(b) * eA + eA * eB
+
+    m = max(64, 32 * len(A))
+    x = 2.0 * np.pi * np.arange(m) / m
+    s, g, err = sign(x)
+    sigma = 1.0 if g.max() >= -g.min() else -1.0
+    node_min = float(np.min(sigma * g))
+    clears = bool(np.any(sigma * s > err))
+    t = sigma * g
+    x = x[np.union1d(np.flatnonzero((t < np.roll(t, 1)) & (t <= np.roll(t, -1))),
+                     [np.argmin(t)])]
+    w = 2.0 * np.pi / m
+    for _ in range(zooms):
+        pts = x[:, None] + w * np.linspace(-1.0, 1.0, 33)
+        x = pts[np.arange(x.size), np.argmin(sigma * sign(pts)[1], axis=1)]
+        w /= 16.0
+    s, g, err = sign(x)
+    crossed = clears and bool(np.any(sigma * s < -err))
+    i = int(np.argmin(sigma * g))
+    return (float(sigma * g[i]), not crossed and not bool(np.all(sigma * s > err)),
+            node_min)
+
+
+def g_rounding(A, B, z):
+    """_circle_sign's rounding bound on s at z, divided by |a|^2 + |b|^2:
+    how far rounding alone can move g there."""
+    eA = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(A))
+    eB = 4.0 * len(B) * np.finfo(float).eps * np.sum(np.abs(B))
+    a = np.polyval(np.asarray(A)[::-1], z)
+    b = np.polyval(np.asarray(B)[::-1], z)
+    return (abs(a) * eB + abs(b) * eA + eA * eB) / (abs(a) ** 2 + abs(b) ** 2)
+
+
+class TestCircleSign:
+    def test_newton_against_zooms(self):
+        # third-route pairs e^{-inh} F(e^{ih} z), F(e^{-ih} z), zeros of F
+        # inside and outside the disk, degree 1-16
+        rng = np.random.default_rng(20261018)
+        for t in range(200):
+            n = 1 + t % 16
+            radius = rng.uniform(0.3, 1.1)
+            F = Polynomial.from_roots(radius * np.sqrt(rng.uniform(size=n))
+                                      * np.exp(2j * np.pi * rng.uniform(size=n)))
+            h = 0.5 * rng.uniform(0.05, 0.95) * 2.0 * math.pi / n
+            A = cmath.exp(-1j * n * h) * F.rotate(h).coeffs
+            B = F.rotate(-h).coeffs
+            margin, indet, z = _circle_sign(A, B)
+            _, zoom_indet, node_min = zoom_circle_sign(A, B)
+            dense, _, _ = zoom_circle_sign(A, B, zooms=12)
+            assert margin <= node_min
+            assert indet == zoom_indet
+            # where a and b are small against their coefficients, g is noisy
+            # within its rounding bound, and the dense zoom reads the lowest
+            # of its noisy samples
+            assert abs(margin - dense) <= 1e-12 + g_rounding(A, B, z)
+
+    def test_shared_zero_on_the_circle(self):
+        # A = z - 1 and B = i (z - 1)^2 vanish together at z = 1, where
+        # s = Im(A conj B) touches 0 and q = |A|^2 + |B|^2 is 0
+        A = np.array([-1.0, 1.0, 0.0], dtype=complex)
+        B = 1j * np.array([1.0, -2.0, 1.0])
+        margin, indet, z = _circle_sign(A, B)
+        assert not math.isnan(margin)
+        assert indet
+        assert abs(z - 1.0) < 1e-12
 
 
 class TestTags:
