@@ -12,12 +12,10 @@ whose sign changes are the unimodular zeros of the product T of the
 paper; the second on the ends of the pencil of its P - Q split
 (Hermite-Biehler), after root-finding those two ends.  Their margins are
 unitless, in [-1/2, 1/2], and flagged indeterminate where the sign is
-within rounding.  The zeta-sampled route (in_D_first) is a sampled
-cross-check: its unimodular folds F + zeta F^*n are self-inversive, so a
-sign count of one real function on the circle decides all of them at once
-without root finding, and in_T decides the folds the count leaves open.
-eq8_oracle is the direct exterior-grid evaluation of the defining
-inequality, kept independent of the circle sign test.
+within rounding.  The first route (in_D_first) decides its folds
+F + zeta F^*n for every unimodular zeta at once from F's zeros, by the
+least gap of the argument of the Blaschke product F / F^*n.  eq8_oracle
+is the direct exterior-grid evaluation of the defining inequality.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ from .errors import (
 )
 from .poly import Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
-from .roots import CIRCLE_TOL, _circle_sign, arg_separation, find_roots, interspersed
+from .roots import (CIRCLE_TOL, NEWTON_STEPS, _circle_sign, arg_separation, find_roots,
+                    interspersed)
 
 SEP_TOL = 1e-8
 #: is_lambda_extremal's relative fit of the coefficients, and of |b| to 1
@@ -50,18 +49,9 @@ ORACLE_ANGLES = 256
 ORACLE_RADII = 64
 #: circle nodes of the half-plane criterion
 HALF_PLANE_GRID = 256
-ZETA_SAMPLES = 64
-#: a fold whose certified margin exceeds this is in the circle class under
-#: both rules of in_T (separation within SEP_TOL), which is then not called
-FOLD_SLACK = 1e-6
-#: most nodes of the fold sign count: the count certifies on any grid, and
-#: below lambda = 2 pi / 512 folds whose zeros crowd closer than a node
-#: interval show fewer than n sign changes and go to in_T
-FOLD_NODES_MAX = 4096
-_ZETAS = np.array([cmath.exp(2j * math.pi * j / ZETA_SAMPLES)
-                   for j in range(ZETA_SAMPLES)])
-#: zeta_j^{-1/2}, which makes the fold's circle function real
-_HALF_TURNS = np.exp(-1j * math.pi * np.arange(ZETA_SAMPLES) / ZETA_SAMPLES)
+#: in_D_first bisects every node interval over which the argument of
+#: F / F^*n rises by more than this
+PHASE_STEP = math.pi / 8
 
 
 @dataclass
@@ -115,11 +105,14 @@ def in_T(p, lp, closed=True):
     if p.is_zero or p.exact_degree != lp.n:
         return MembershipVerdict(label, False, "definition", -math.inf,
                                  {"reason": "exact degree != n"})
-    rs = find_roots(p)
-    tags = rs.tags()
-    for (z, m), t in zip(rs.roots, tags):
+    return _in_T_roots(find_roots(p), lp, closed, label, "definition")
+
+
+def _in_T_roots(rs, lp, closed, label, method):
+    """in_T on the roots rs of a polynomial of exact degree n."""
+    for (z, m), t in zip(rs.roots, rs.tags()):
         if t != "ON":
-            return MembershipVerdict(label, False, "definition",
+            return MembershipVerdict(label, False, method,
                                      -abs(abs(z) - 1.0), {"offending_root": complex(z)})
     sep = arg_separation(rs)
     margin = sep - lp.lam
@@ -128,7 +121,7 @@ def in_T(p, lp, closed=True):
     else:
         member = margin > SEP_TOL and all(m == 1 for _, m in rs.roots)
     wit = {} if member else {"separation": sep}
-    return MembershipVerdict(label, member, "definition", margin, wit)
+    return MembershipVerdict(label, member, method, margin, wit)
 
 
 def is_lambda_extremal(p, lp):
@@ -196,10 +189,7 @@ def _route_roots(F, lp, closed, label, method):
         return MembershipVerdict(label, False, method, -(abs(z) - 1.0),
                                  {"offending_root": complex(z)}), rs
     if all(t == "ON" for t in tags):
-        v = in_T(F, lp, closed)
-        v.class_label = label
-        v.method = method + "/routed_T"
-        return v, rs
+        return _in_T_roots(rs, lp, closed, label, method + "/routed_T"), rs
     if "ON" in tags:
         # mixed zero locations can never satisfy the defining inequality
         z = rs.roots[tags.index("ON")][0]
@@ -208,10 +198,9 @@ def _route_roots(F, lp, closed, label, method):
     return None, rs
 
 
-def _sign_verdict(label, closed, method, A, B):
-    """Verdict from the certified sign of Im(A conj B) on the circle; a
-    minimum within rounding is a member of the closed class only."""
-    margin, indet, z = _circle_sign(A, B)
+def _margin_verdict(label, closed, method, margin, indet, z):
+    """Verdict from a signed margin and its circle point z; a margin within
+    rounding (indet) is a member of the closed class only."""
     member = closed if indet else margin > 0.0
     return MembershipVerdict(label, member, method, margin,
                              {} if member and not indet else {"circle_point": z},
@@ -245,123 +234,143 @@ def _third_sign(F, lp, closed):
     """in_D_third's sign test alone, for F of exact degree n whose zeros
     are known to lie strictly inside the disk (lambda interior)."""
     h = lp.lam / 2.0
-    return _sign_verdict(_label("D", closed), closed, "THIRD_CHAR",
-                         cmath.exp(-1j * lp.n * h) * F.rotate(h).coeffs,
-                         F.rotate(-h).coeffs)
+    return _margin_verdict(_label("D", closed), closed, "THIRD_CHAR",
+                           *_circle_sign(cmath.exp(-1j * lp.n * h) * F.rotate(h).coeffs,
+                                         F.rotate(-h).coeffs))
 
 
-def _fold_margins(F, Fi, lp):
-    """Margins of the unimodular folds G_j = F + zeta_j F^*n that a sign
-    count on the circle certifies to clear in_T's rules by FOLD_SLACK; NaN
-    for every other fold.
+def _blaschke_arg(n, z, m, w, theta):
+    """phi, phi', phi'' at theta of phi = n theta + 2 sum_k m_k arg(1 - z_k
+    e^{-i theta}), the argument of F / F^*n on the circle, F's zeros z_k
+    (multiplicity m_k) strictly inside, w_k = m_k (1 - |z_k|^2).  Each term
+    is an arctangent (positive real part), so phi needs no unwrapping."""
+    y = np.multiply.outer(np.exp(-1j * theta), z)
+    a, b = 1.0 - y.real, y.imag
+    q = 1.0 / (a * a + b * b)
+    return n * theta - 2.0 * (np.arctan(b / a) @ m), q @ w, 2.0 * (b * q * q) @ w
 
-    G_j is self-inversive, so w_j = Re(zeta_j^{-1/2} e^{-in theta/2}
-    G_j(e^{i theta})) is real up to rounding, antiperiodic for odd n, and
-    has n zeros on the circle exactly when all of G_j's zeros are there
-    (Cohn 1922).  All w_j are evaluated on M nodes spaced at most lambda/8,
-    and at most FOLD_NODES_MAX of them, by one matrix product.  A fold is certified when every node clears the
-    rounding bound 8(n+1) eps sum|G_jk| and w_j changes sign n times: at
-    most n zeros lie on the circle, so these are n simple ones.  Each
-    bracketed zero is refined by Newton's method on G_j, evaluated by
-    Horner's rule and guarded by bisection.  The margin is the least
-    circular gap minus lambda, as in_T measures it, and must exceed
-    FOLD_SLACK by twice the largest distance err / |w'| that rounding can
-    move a zero.
-    """
-    n, lam = lp.n, lp.lam
-    margins = np.full(ZETA_SAMPLES, np.nan)
-    if F.nominal_degree != n:
-        return margins  # the folds' exact degree is not n: in_T says so
-    # the arithmetic of F + zeta * Fi, row by row, bit for bit
-    G = F.coeffs + Fi.coeffs * _ZETAS[:, None]
-    kk = np.arange(n + 1) - n / 2.0
-    m = min(FOLD_NODES_MAX, max(256, 8 * math.ceil(2.0 * math.pi / lam)))
-    # nodes off 0 and pi, where the folds of real F have zeros for odd n
-    theta = 2.0 * math.pi * (np.arange(m + 1) + 0.5) / m
-    # in real arithmetic: a complex product of this size is threaded by
-    # OpenBLAS and stalls by milliseconds when the other cores are busy
-    arg = np.multiply.outer(theta[:-1], kk)
-    hg = G.T * _HALF_TURNS
-    w = np.hstack([np.cos(arg), -np.sin(arg)]) @ np.vstack([hg.real, hg.imag])
-    # the last node closes the circle: w(theta + 2 pi) = (-1)^n w(theta)
-    w = np.vstack([w, (-1.0) ** n * w[:1]])
-    err = 8.0 * (n + 1) * np.finfo(float).eps * np.sum(np.abs(G), axis=1)
-    change = (w[1:] > 0.0) != (w[:-1] > 0.0)
-    cert = np.all(np.abs(w) > err, axis=0) & (np.sum(change, axis=0) == n)
-    if not cert.any():
-        return margins
-    # zeros ordered by fold, then by angle: n to a certified fold
-    folds = np.flatnonzero(cert)
-    fold, node = np.nonzero(change[:, folds].T)
-    rows = G[folds[fold]]
-    turn = _HALF_TURNS[folds[fold]]
-    lo, hi = theta[node], theta[node + 1]
-    wlo, whi = w[node, folds[fold]], w[node + 1, folds[fold]]
-    x = lo - wlo * (hi - lo) / (whi - wlo)
-    for _ in range(10):
-        # Horner, not the node sum: its partial sums shrink where the
-        # zeros crowd, and so does its rounding
-        z = np.exp(1j * x)
-        g = dg = np.zeros(x.size, dtype=complex)
-        for k in range(n, -1, -1):
-            dg = dg * z + g
-            g = g * z + rows[:, k]
-        u = turn * np.exp(-0.5j * n * x)
-        fx = (u * g).real
-        dfx = (1j * u * (z * dg - 0.5 * n * g)).real
-        left = (fx > 0.0) == (wlo > 0.0)
-        lo = np.where(left, x, lo)
-        hi = np.where(left, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - fx / dfx
-        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        step = np.abs(nxt - x)
-        x = nxt
-        if step.max() <= 1e-13:
+
+def _least_gap(arg, n, z, tol):
+    """(theta, x) at the least gap x - theta, phi(x) = phi(theta) + 2 pi, of
+    phi = arg(.)[0] of degree n with zeros z, levels solved to tol: sampled
+    on nodes uniform in theta and graded by sqrt(2) about each zero out to
+    that spacing (phi's spikes and their tails), bisected while phi rises by
+    more than PHASE_STEP, each minimum refined by guarded Newton steps."""
+    tau, count = 2.0 * math.pi, n * math.ceil(2.0 * math.pi / PHASE_STEP)
+    d = np.multiply.outer(1.0 - np.abs(z), np.sqrt(2.0) ** np.arange(-3, 60))
+    graded = (np.angle(z)[:, None] + np.stack([d, -d]))[np.stack([d, d]) < tau / count]
+    theta = np.sort(np.concatenate([tau * np.arange(count) / count, graded % tau]))
+    phi, dphi, _ = arg(theta)
+    while (wide := np.flatnonzero(np.concatenate([phi[1:], phi[:1] + tau * n]) - phi
+                                  > PHASE_STEP)).size:
+        mid = 0.5 * (theta[wide] + np.concatenate([theta[1:], [tau]])[wide])
+        order = np.argsort(np.concatenate([theta, mid]))
+        theta, phi, dphi = (np.concatenate(v)[order]
+                            for v in zip((theta, phi, dphi), (mid, *arg(mid)[:2])))
+    # levels phi +- 2 pi: each gap's end x, and a node whose gap ends at theta;
+    # second-order Newton steps from the Hermite inverse in the table, each to
+    # tol^(1/3), which leaves an error within tol
+    nodes = theta.size
+    tt, pp, dd = (np.concatenate([v - c, v, v + c])
+                  for v, c in ((theta, tau), (phi, tau * n), (dphi, 0.0)))
+    level = np.concatenate([phi + tau, phi - tau])
+    i = np.searchsorted(pp, level)
+    lo, hi, rise = tt[i - 1], tt[i], pp[i] - pp[i - 1]
+    u = (level - pp[i - 1]) / rise
+    x = np.minimum(np.maximum(lo + (hi - lo) * u * u * (3.0 - 2.0 * u) + rise * u * (1.0 - u)
+                              * ((1.0 - u) / dd[i - 1] - u / dd[i]), lo), hi)
+    dx, todo = np.empty_like(x), slice(None)  # views on the first pass
+    for _ in range(NEWTON_STEPS):
+        v, lv, hv = x[todo], lo[todo], hi[todo]
+        p, d, dd = arg(v)
+        r = (p - level[todo]) / d
+        np.copyto(lv, v, where=r < 0.0)
+        np.copyto(hv, v, where=r > 0.0)
+        nxt = v - r * (1.0 + 0.5 * dd / d * r)  # to second order in r
+        np.copyto(nxt, 0.5 * (lv + hv), where=(nxt < lv) | (nxt > hv))
+        step = nxt - v
+        x[todo], lo[todo], hi[todo], dx[todo] = nxt, lv, hv, d + dd * step
+        if not (todo := np.arange(x.size)[todo][np.abs(step * d) > tol ** (1.0 / 3.0)]).size:
             break
-    x = x.reshape(-1, n)
-    gaps = np.concatenate([np.diff(x, axis=1), 2.0 * math.pi + x[:, :1] - x[:, -1:]],
-                          axis=1)
-    margin = gaps.min(axis=1) - lam
-    # a zero within rounding of w may sit err / |w'| away from the computed one
-    ez = err[folds[fold]]
-    with np.errstate(divide="ignore"):
-        spread = 2.0 * np.max((ez / np.abs(dfx)).reshape(-1, n), axis=1)
-    ok = np.all((step <= 1e-10).reshape(-1, n), axis=1) & (margin - spread > FOLD_SLACK)
-    margins[folds[ok]] = margin[ok]
-    return margins
+    # with those nodes none lies inside the image of a node interval.  A gap
+    # minimum (gap' = h / phi'(x), h = phi'(theta) - phi'(x)) lies where h goes
+    # from - to +; bracket it one node further either way, start from cubic models
+    back = x[nodes:] + tau * (x[nodes:] < 0.0)
+    order = np.argsort(np.concatenate([theta, back]))
+    theta, x, dx, h = (np.concatenate(v)[order] for v in (
+        (theta, back), (x[:nodes], theta + back - x[nodes:]), (dx[:nodes], dphi),
+        (dphi - dx[:nodes], dx[nodes:] - dphi)))
+    hn = np.concatenate([h[1:], h[:1]])
+    j = np.flatnonzero((h < 0.0) & (hn >= 0.0))
+    theta, x, dx = (np.concatenate([v[-1:] - c, v, v[:2] + c])
+                    for v, c in ((theta, tau), (x, tau), (dx, 0.0)))
+    lo, hi, ylo, yhi = theta[j], theta[j + 3], x[j], x[j + 3]
+    t0, x0, x1, wd = theta[j + 1], x[j + 1], x[j + 2], theta[j + 2] - theta[j + 1]
+    s0, s1, g = h[j] / dx[j + 1], hn[j] / dx[j + 2], x0 - x1 + wd
+    qa, qb = 6.0 * g + 3.0 * wd * (s0 + s1), -6.0 * g - wd * (4.0 * s0 + 2.0 * s1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = -2.0 * wd * s0 / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * wd * s0, 0.0)))
+        f = np.fmin(np.fmax(f, 0.0), 1.0)
+        t = t0 + f * wd
+        y = (x0 * (1.0 + 2.0 * f) * (1.0 - f) ** 2 + x1 * f * f * (3.0 - 2.0 * f)
+             + wd * f * (1.0 - f) * ((1.0 + s0) * (1.0 - f) - (1.0 + s1) * f))
+        for _ in range(NEWTON_STEPS if j.size else 0):
+            pt, py, dt, dy, ddt, ddy = np.concatenate(arg(np.concatenate([t, y]))).reshape(6, -1)
+            # y onto the level; h there to first order, trusted once within tol^(1/3)
+            r = (py - pt - tau) / dy
+            y = np.minimum(np.maximum(y - r * (1.0 + 0.5 * ddy / dy * r), ylo), yhi)
+            hh, dh = dt - dy + ddy * r, ddt - ddy * dt / dy
+            ok = np.abs(r * dy) <= tol ** (1.0 / 3.0)
+            np.copyto(lo, t, where=ok & (hh < 0.0))
+            np.copyto(hi, t, where=ok & (hh > 0.0))
+            nxt = t - hh / dh
+            np.copyto(nxt, 0.5 * (lo + hi), where=(dh <= 0.0) | (nxt < lo) | (nxt > hi))
+            np.copyto(nxt, t, where=~ok)
+            # done once the step would lower the gap (gap'' ~ dh / phi'(y)) by tol
+            if ok.all() and (np.abs(hh * (nxt - t)) <= tol * dy).all():
+                break
+            y, t = np.minimum(np.maximum(y + dt / dy * (nxt - t), ylo), yhi), nxt
+    ends = np.concatenate([theta, t, x, y]).reshape(2, -1)
+    return ends[:, np.argmin(ends[1] - ends[0])]
 
 
 def in_D_first(F, lp, closed=True):
-    """Sampled route: F + zeta F^*n stays in the circle class for every
-    unimodular zeta, checked at ZETA_SAMPLES values of zeta.  Exact in the
-    necessary direction, sampled in the sufficient one.
+    """First characterization: F + zeta F^*n is in the circle class for every
+    unimodular zeta, decided for all zeta at once from F's zeros.
 
-    The folds are self-inversive, so all of them are first decided at once
-    by a sign count on the circle (_fold_margins).  A fold certified there
-    to clear in_T's rules by FOLD_SLACK is a member without root finding;
-    every other fold goes through in_T in zeta order, so each non-member
-    verdict, margin and witness comes from in_T.  A member's margin is the
-    least over its folds.
+    With F's zeros strictly inside, B = F / F^*n is a Blaschke product of
+    degree n with a strictly rising argument phi on the circle; the fold
+    F^*n (B + zeta) has n simple zeros there, one 2 pi step of phi apart
+    (Garcia, Mashreghi & Ross 2018).  So the margin, min over theta of the
+    gap, phi(theta + gap) = phi(theta) + 2 pi, minus lambda, is in_T's over
+    all folds, which _least_gap finds.  Within the rounding of phi plus the
+    a-posteriori radii of F's zeros,
+    r_k = (n (|F(z_k)| + e_k) / |a_n prod_{j != k} (z_k - z_j)^{m_j}|)^{1/m_k}
+    (e_k the rounding of F(z_k)), the margin is indeterminate (closed:
+    member, open: non-member).  Witness: the circle point of the least gap.
     """
     _require_open_interval(lp)
     label = _label("D", closed)
-    early, _ = _route_roots(F, lp, closed, label, "FIRST_CHAR_SAMPLED")
+    early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
         return early
-    Fi = F.n_inverse()
-    fast = _fold_margins(F, Fi, lp)
-    worst = math.inf
-    for zeta, m in zip(_ZETAS.tolist(), fast.tolist()):
-        if not math.isnan(m):
-            worst = min(worst, m)
-            continue
-        v = in_T(F + zeta * Fi, lp, closed)
-        if not v.member:
-            return MembershipVerdict(label, False, "FIRST_CHAR_SAMPLED", v.margin,
-                                     {"zeta": zeta, **v.witnesses})
-        worst = min(worst, v.margin)
-    return MembershipVerdict(label, True, "FIRST_CHAR_SAMPLED", worst)
+    n, eps = lp.n, np.finfo(float).eps
+    if n == 1:  # one zero per fold, which in_T separates by 2 pi
+        return _margin_verdict(label, closed, "FIRST_CHAR", 2.0 * math.pi - lp.lam, False, 1j)
+    tol = 128.0 * math.pi * n * eps  # phi's level residual, and n theta's rounding
+    z, m = map(np.array, zip(*rs.roots))
+    w = m * (1.0 - np.abs(z) ** 2)
+    at = _least_gap(functools.partial(_blaschke_arg, n, z, m, w), n, z, tol)
+    c, zk = F.coeffs[: n + 1], np.power.outer(z, np.arange(n + 1))
+    dz = np.abs(np.subtract.outer(z, z)) + np.eye(z.size)
+    v = np.abs(1.0 - np.multiply.outer(np.exp(-1j * at), z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (n * (np.abs(zk @ c) + 4.0 * n * eps * (np.abs(zk) @ np.abs(c)))
+             / (abs(c[n]) * np.prod(dz ** m, axis=1))) ** (1.0 / m)
+        err = ((m * (r + 4.0 * eps)) @ (2.0 / v).sum(axis=0) + tol) / (w @ v[1] ** -2)
+    margin = float(at[1] - at[0]) - lp.lam
+    return _margin_verdict(label, closed, "FIRST_CHAR", margin, not abs(margin) > float(err),
+                           cmath.exp(1j * at[0]))
 
 
 def in_D_second(P, Q, lp, closed=True):
@@ -385,7 +394,7 @@ def in_D_second(P, Q, lp, closed=True):
     label = _label("D", closed)
     # the pencil cannot tell F from its n-inverse (the split only changes
     # sign), so the zero-location preamble has to run on F itself
-    early, _ = _route_roots(P - Q, lp, closed, label, "SECOND_CHAR_GRID")
+    early, _ = _route_roots(P - Q, lp, closed, label, "SECOND_CHAR")
     if early is not None:
         return early
     cP = self_inversive_phase(P)
@@ -402,9 +411,9 @@ def in_D_second(P, Q, lp, closed=True):
         z = max((z for z, _ in find_roots(H).roots), key=abs)
         m = 1.0 - abs(z)
         if not (m >= -CIRCLE_TOL if closed else m > CIRCLE_TOL):
-            return MembershipVerdict(label, False, "SECOND_CHAR_GRID", m,
+            return MembershipVerdict(label, False, "SECOND_CHAR", m,
                                      {"theta": theta, "offending_root": complex(z)})
-    return _sign_verdict(label, closed, "SECOND_CHAR_GRID", A.coeffs, B.coeffs)
+    return _margin_verdict(label, closed, "SECOND_CHAR", *_circle_sign(A.coeffs, B.coeffs))
 
 
 @functools.lru_cache(maxsize=2)
@@ -435,10 +444,7 @@ def eq8_oracle(F, lp, closed=True):
     if not closed:
         rs = find_roots(F)
         if rs.all_on_circle():
-            v = in_T(F, lp, closed=False)
-            v.class_label = label
-            v.method = "EQ8_GRID/routed_T"
-            return v
+            return _in_T_roots(rs, lp, False, label, "EQ8_GRID/routed_T")
     h = lp.lam / 2.0
     phase = cmath.exp(-1j * lp.n * h)
     z = _oracle_grid(closed)
@@ -452,11 +458,19 @@ def eq8_oracle(F, lp, closed=True):
         # phase * num / den in place, operands in that order
         np.multiply(phase, num, out=num)
         np.divide(num, den, out=num)
-    vals = num.imag[np.isfinite(num.imag)]
-    margin = float(np.min(vals)) if vals.size else -math.inf
-    member = margin > 0.0
-    return MembershipVerdict(label, member, "EQ8_GRID", margin,
-                             {} if member else {"negative_imag_on_grid": True})
+        finite = np.isfinite(num.imag)
+        im = num.imag if finite.all() else np.where(finite, num.imag, math.inf)
+        i = int(np.argmin(im))
+        margin = float(im[i]) if finite[i] else -math.inf
+        # a positive least value within its drop to its two angular neighbours
+        # on its ring may hide a dip below zero between the nodes
+        row, k = im.reshape(-1, ORACLE_ANGLES)[i // ORACLE_ANGLES], i % ORACLE_ANGLES
+        drop = float(max(row[k - 1], row[(k + 1) % ORACLE_ANGLES])) - margin
+    indet = 0.0 <= margin <= drop
+    member = closed if indet else margin > 0.0
+    wit = {"neighbour_drop": drop} if indet else {} if member else {
+        "negative_imag_on_grid": True}
+    return MembershipVerdict(label, member, "EQ8_GRID", margin, wit, indeterminate=indet)
 
 
 def in_D(F, lp, closed=True, method="third"):
@@ -494,9 +508,7 @@ def _in_D_lambda0(F, lp, closed):
     if rs.all_inside():
         margin = min(1.0 - abs(z) for z, _ in rs.roots)
         return MembershipVerdict(label, True, "definition", margin)
-    v = in_T(F, lp, closed=False)
-    v.class_label = label
-    return v
+    return _in_T_roots(rs, lp, False, label, "definition")
 
 
 def _in_D_upper(F, lp, closed):

@@ -256,9 +256,3 @@ def self_inversive_phase(p, tol=COEFF_TOL):
         half += math.pi
     return cmath.exp(1j * half)
 
-
-def is_self_inversive_phase_pair(p, q, tol=COEFF_TOL):
-    """True if both phases exist and coincide within tol (as points on T)."""
-    cp = self_inversive_phase(p, tol)
-    cq = self_inversive_phase(q, tol)
-    return min(abs(cp - cq), abs(cp + cq)) <= 1e-8

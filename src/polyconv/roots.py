@@ -24,8 +24,8 @@ CLUSTER_TOL = 1e-8
 MULTIPLE_REL_TOL = 1e-7
 #: argument distance at which interspersed() reads two zeros as shared
 ANG_TOL = 1e-9
-#: most Newton steps per _circle_sign call; bisection of one node spacing
-#: either side reaches the 1e-13 step well within them
+#: most Newton steps per refinement loop (here and in the first route);
+#: bisection of one node spacing either side converges well within them
 NEWTON_STEPS = 60
 
 INSIDE = "INSIDE"
@@ -53,10 +53,6 @@ class RootSet:
                 out.append(OUTSIDE)
         return out
 
-    @property
-    def total_multiplicity(self):
-        return sum(m for _, m in self.roots)
-
     def all_on_circle(self):
         return all(t == ON for t in self.tags())
 
@@ -65,10 +61,6 @@ class RootSet:
 
     def all_in_closed_disk(self):
         return all(t != OUTSIDE for t in self.tags())
-
-    def min_boundary_margin(self):
-        """Smallest | |z| - 1 | over all roots."""
-        return min(abs(abs(z) - 1.0) for z, _ in self.roots) if self.roots else math.inf
 
     def to_csv(self):
         lines = []

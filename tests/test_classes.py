@@ -17,8 +17,6 @@ from polyconv.errors import (
 from polyconv import classes
 from polyconv.poly import LambdaParam, Polynomial, self_inversive_phase
 from polyconv.classes import (
-    ZETA_SAMPLES,
-    _fold_margins,
     _route_roots,
     build_char_polys,
     eq8_oracle,
@@ -191,7 +189,7 @@ class TestDiskRoutes:
         P, Q = split(self.non_member())
         v = in_D_second(P, Q, lp, True)
         assert not v.member
-        assert v.method.startswith("SECOND_CHAR_GRID")
+        assert v.method.startswith("SECOND_CHAR")
 
     def test_second_route_degree_one(self):
         # at n = 1 the pencil is constant and only the sign test decides
@@ -359,12 +357,47 @@ class TestBoundaryFamilyOpenClass:
             v = in_D_third(F, lp, closed=False)
             assert not v.member or v.indeterminate, (lp, v)
 
+    def test_first_route_never_confident_open_member(self):
+        # the 64 sampled folds of earlier versions missed the extremal one
+        # and called these members of the open class with margins up to 0.07
+        for lp, F in self.instances():
+            v = in_D_first(F, lp, closed=False)
+            assert not v.member or v.indeterminate, (lp, v)
+            assert in_D_first(F, lp, closed=True).member
+            assert abs(v.margin) <= 1e-7, (lp, v)
+
+    def test_first_route_random_draws_stay_undecided(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            lam = float(rng.uniform(0.05, 0.95)) * TP / n
+            c = cmath.exp(1j * rng.uniform(0.1, math.pi - 0.1))
+            F = extremal_family(n, lam, -float(rng.uniform(0.2, 2.0)),
+                                float(rng.normal()), c) - q_extremal(n, lam)
+            lp = LambdaParam(n, lam)
+            for closed in (True, False):
+                v = in_D_first(F, lp, closed)
+                assert v.indeterminate and v.member == closed, (lp, closed, v)
+
+    def test_oracle_never_confident_open_member(self):
+        # the grid's least value lies within its drop to its neighbours, or
+        # below zero, where the open class rejects it anyway
+        for lp, F in self.instances():
+            v = eq8_oracle(F, lp, closed=False)
+            assert not v.member or v.indeterminate, (lp, v)
+            assert eq8_oracle(F, lp, closed=True).member
+
+
+#: the folds of the sampled first route of earlier versions
+ZETA_SAMPLES = 64
+
 
 def per_fold_first_route(F, lp, closed):
-    """The first route with one in_T root find per sampled fold: the loop
-    that the sign count replaced, kept as the reference for it."""
+    """The sampled first route of earlier versions, one in_T root find per
+    fold F + zeta F^*n at ZETA_SAMPLES values of zeta: exact in the
+    necessary direction only, kept as a reference."""
     label = "D_closed" if closed else "D_open"
-    early, _ = _route_roots(F, lp, closed, label, "FIRST_CHAR_SAMPLED")
+    early, _ = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
         return early
     Fi = F.n_inverse()
@@ -376,12 +409,46 @@ def per_fold_first_route(F, lp, closed):
             v.witnesses["zeta"] = zeta
             return v
         worst = min(worst, v.margin)
-    return classes.MembershipVerdict(label, True, "FIRST_CHAR_SAMPLED", worst)
+    return classes.MembershipVerdict(label, True, "FIRST_CHAR", worst)
+
+
+def fold_scan(F, lp, count=1024):
+    """The least margin of in_T's rule over the folds F + zeta F^*n at count
+    values of zeta, root-found by one batched companion eigensolve, and that
+    least margin refined through in_T by golden sections in arg(zeta) about
+    its zeta: a dense reference for the continuous first route."""
+    Fi = F.n_inverse()
+    n, step = lp.n, 2.0 * math.pi / count
+    folds = F.coeffs[: n + 1] + np.exp(1j * step * np.arange(count))[:, None] * Fi.coeffs[: n + 1]
+    comp = np.zeros((count, n, n), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, :, -1] = -folds[:, :n] / folds[:, n:]
+    args = np.sort(np.angle(np.linalg.eigvals(comp)), axis=1)
+    gaps = np.diff(np.concatenate([args, args[:, :1] + 2.0 * math.pi], axis=1), axis=1)
+    coarse = gaps.min(axis=1) - lp.lam
+    j = int(np.argmin(coarse))
+
+    def margin(a):
+        return in_T(F + cmath.exp(1j * a) * Fi, lp).margin
+
+    lo, hi = (j - 1) * step, (j + 1) * step
+    a, b = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+    ma, mb = margin(a), margin(b)
+    for _ in range(50):
+        if ma < mb:
+            hi, b, mb = b, a, ma
+            a = hi - 0.618 * (hi - lo)
+            ma = margin(a)
+        else:
+            lo, a, ma = a, b, mb
+            b = lo + 0.618 * (hi - lo)
+            mb = margin(b)
+    return float(coarse[j]), min(margin(j * step), ma, mb)
 
 
 class TestFirstRouteFolds:
-    """in_D_first decides its folds by a sign count on the circle and
-    sends the rest to in_T; its verdicts are those of a per-fold in_T loop."""
+    """in_D_first decides every fold at once from the least gap of the
+    argument of F / F^*n; dense in_T scans of the folds are its reference."""
 
     SHAPES = ("scaled", "rejection", "boundary", "raw")
 
@@ -408,24 +475,46 @@ class TestFirstRouteFolds:
                 F = Polynomial.from_roots(zeros)
             yield shape, LambdaParam(n, lam), F
 
+    def check_against_scans(self, lp, F):
+        """Both classes against the sampled route and the dense scan; returns
+        the closed-class verdict."""
+        scan, refined = fold_scan(F, lp)
+        for closed in (True, False):
+            v = in_D_first(F, lp, closed)
+            ref = per_fold_first_route(F, lp, closed)
+            # never above the least fold margin of either scan
+            assert v.margin <= min(ref.margin, scan) + 1e-9, (lp, closed, v, ref, scan)
+            if v.indeterminate:
+                assert v.member == closed and abs(v.margin) <= 1e-6, (lp, closed, v)
+                continue
+            if abs(scan) > 1e-6:
+                assert v.member == (scan > 0.0), (lp, closed, v, scan)
+                assert v.margin == pytest.approx(refined, abs=1e-8), (lp, closed, v, refined)
+            if v.member:
+                assert ref.member, (lp, closed, v, ref)
+            else:
+                assert "circle_point" in v.witnesses
+        return in_D_first(F, lp, True)
+
     def test_matches_per_fold_in_T(self):
         members = {True: 0, False: 0}
-        fast = 0
         for shape, lp, F in self.instances():
-            fast += not np.all(np.isnan(_fold_margins(F, F.n_inverse(), lp)))
-            for closed in (True, False):
-                v = in_D_first(F, lp, closed)
-                ref = per_fold_first_route(F, lp, closed)
-                assert v.member == ref.member, (shape, lp, closed, v, ref)
-                assert v.margin == pytest.approx(ref.margin, abs=1e-8), (shape, lp, closed)
-                assert v.witnesses.keys() == ref.witnesses.keys()
+            if _route_roots(F, lp, True, "D", "")[0] is not None:
+                # the preamble decides: the same verdict as the sampled route
+                for closed in (True, False):
+                    v, ref = in_D_first(F, lp, closed), per_fold_first_route(F, lp, closed)
+                    assert (v.member, v.margin) == (ref.member, ref.margin)
+                continue
+            v = self.check_against_scans(lp, F)
+            if not v.indeterminate:
                 members[v.member] += 1
-        assert members[True] >= 20 and members[False] >= 20, members
-        assert fast >= 30
+            else:
+                assert shape == "boundary", (shape, lp, v)
+        assert members[True] >= 15 and members[False] >= 4, members
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_member_takes_one_root_find(self, n, monkeypatch):
-        # the preamble's; odd n also checks the antiperiodic wrap of w
+        # the preamble's; the route reads the zeros it found
         calls = []
         real = classes.find_roots
         monkeypatch.setattr(classes, "find_roots",
@@ -439,18 +528,23 @@ class TestFirstRouteFolds:
             assert len(calls) == 1, (closed, len(calls))
 
     def test_nominal_degree_above_n(self):
-        # the folds of F = z + 0.5 at nominal degree 2 have exact degree 2,
-        # so in_T rejects the first one before any sign count applies
-        lp = LambdaParam(1, 1.0)
-        F = Polynomial([0.5, 1.0, 0.0], 2)
-        v = in_D_first(F, lp, True)
-        assert not v.member and v.witnesses["reason"] == "exact degree != n"
-        assert v.witnesses["zeta"] == 1.0
+        # the route reads F's zeros, so a nominal degree above n changes
+        # nothing: the verdict and its circle point are those at degree n
+        lp = LambdaParam(3, 0.7 * TP / 3)
+        F = Polynomial.from_roots([0.9, 0.85j, -0.5])
+        padded = Polynomial(np.concatenate([F.coeffs, [0.0, 0.0]]), 5)
+        for closed in (True, False):
+            v = in_D_first(padded, lp, closed)
+            assert not v.member and "circle_point" in v.witnesses
+            assert v.as_dict() == in_D_first(F, lp, closed).as_dict()
+            assert v.member == in_D_third(F, lp, closed).member
 
-    def test_unresolved_fold_goes_to_in_T(self):
+    def test_crowded_fold_witness(self):
         # F = P - Q with the zeros of P and Q interlacing on the circle has
         # its zeros inside (Hermite-Biehler); its fold at zeta = 1 is -2Q,
-        # whose zeros at 1 -+ 1e-3 fall between two nodes of the sign count
+        # whose zeros at 1 -+ 1e-3 crowd.  The witness is the circle point of
+        # the least gap: a zero of the fold through it, whose in_T margin is
+        # the route's
         def self_inversive(angles, phase):
             p = cpoly(angles)
             return p * (self_inversive_phase(p) * phase)
@@ -459,26 +553,43 @@ class TestFirstRouteFolds:
         P = self_inversive([1.0, 2.0, 3.0, 4.2, 5.1, 6.0], 1j)
         Q = self_inversive([1.0 - 1e-3, 1.0 + 1e-3, 2.5, 3.7, 4.6, 5.6], 1.0)
         F = P - Q
+        Fi = F.n_inverse()
         assert np.all(np.abs(np.roots(F.coeffs[::-1])) < 1.0 - 1e-7)
-        assert math.isnan(_fold_margins(F, F.n_inverse(), lp)[0])
         for closed in (True, False):
             v = in_D_first(F, lp, closed)
-            ref = in_T(F + 1.0 * F.n_inverse(), lp, closed)
-            assert not v.member and not ref.member
-            assert v.margin == ref.margin
-            assert v.witnesses == {"zeta": 1.0, **ref.witnesses}
+            assert not v.member and not v.indeterminate
+            z = v.witnesses["circle_point"]
+            assert abs(abs(z) - 1.0) <= 1e-15
+            zeta = -F(z) / Fi(z)
+            assert abs(abs(zeta) - 1.0) <= 1e-12
+            fold = F + zeta * Fi
+            assert abs(fold(z)) <= 1e-12 * fold.norm()
+            assert in_T(fold, lp, closed).margin == pytest.approx(v.margin, abs=1e-8)
+            assert v.margin <= in_T(F + 1.0 * Fi, lp, closed).margin + 1e-12
+            assert v.margin <= 2e-3 - lp.lam
 
+    def test_zeros_by_the_circle(self):
+        # zeros 1e-5 from the circle leave phi flat between them, so a short
+        # node interval maps onto a long stretch: without the nodes whose gaps
+        # end at nodes, a minimum near 3.93 hides inside one and the margin
+        # reads 3.5e-5 too high
+        lp = LambdaParam(3, 0.95 * TP / 3)
+        F = Polynomial.from_roots((1.0 - np.array([6e-6, 5.2e-5, 1e-5]))
+                                  * np.exp(1j * np.array([0.331, 3.9087, 3.9491])))
+        v = in_D_first(F, lp)
+        assert not v.member and not v.indeterminate
+        assert v.margin == pytest.approx(fold_scan(F, lp)[1], abs=1e-8)
 
     def test_tiny_lambda(self):
-        # lambda = 1e-6 asks for nodes 1.25e-7 apart; the sign count keeps
-        # to FOLD_NODES_MAX of them and leaves folds whose zeros share a
-        # node interval to in_T.  Here the fold at zeta = 1 is -2Q, whose
-        # zeros 1e-3 apart straddle the midpoint of two nodes
+        # lambda enters only the margin: at lambda = 1e-6 the route costs what
+        # it costs elsewhere, and its margins are the dense scan's.  The first
+        # case is the crowded fold above, whose gap of 1e-3 straddles the
+        # midpoint of two nodes of a 4096-node grid
         def self_inversive(angles, phase):
             p = cpoly(angles)
             return p * (self_inversive_phase(p) * phase)
 
-        step = TP / classes.FOLD_NODES_MAX
+        step = TP / 4096
         c = round(1.0 / step) * step
         P = self_inversive([c, 2.0, 3.0, 4.2, 5.1, 6.0], 1j)
         Q = self_inversive([c - 5e-4, c + 5e-4, 2.5, 3.7, 4.6, 5.6], 1.0)
@@ -488,17 +599,12 @@ class TestFirstRouteFolds:
             zeros = rng.uniform(0.3, 0.95, n) * np.exp(1j * rng.uniform(0, TP, n))
             cases.append((LambdaParam(n, 1e-6), Polynomial.from_roots(zeros)))
         for lp, F in cases:
-            fast = _fold_margins(F, F.n_inverse(), lp)
-            assert np.sum(np.isnan(fast)) < ZETA_SAMPLES // 2, lp
-            for closed in (True, False):
-                v = in_D_first(F, lp, closed)
-                ref = per_fold_first_route(F, lp, closed)
-                assert v.member and ref.member, (lp, closed, v, ref)
-                assert v.margin == pytest.approx(ref.margin, abs=1e-8), (lp, closed)
+            v = self.check_against_scans(lp, F)
+            assert v.member and not v.indeterminate, (lp, v)
         F = cases[0][1]
-        assert math.isnan(_fold_margins(F, F.n_inverse(), cases[0][0])[0])
         fold = in_T(F + 1.0 * F.n_inverse(), cases[0][0])
-        assert in_D_first(F, cases[0][0]).margin == fold.margin == pytest.approx(1e-3 - 1e-6)
+        assert fold.margin == pytest.approx(1e-3 - 1e-6)
+        assert in_D_first(F, cases[0][0]).margin <= fold.margin
 
 
 class TestEndpoints:

@@ -13,7 +13,6 @@ from polyconv.errors import DegreeMismatch, NotSymmetric
 from polyconv.poly import (
     LambdaParam,
     Polynomial,
-    is_self_inversive_phase_pair,
     self_inversive_phase,
     trimmed,
 )
@@ -148,11 +147,6 @@ class TestSelfInversivePhase:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             self_inversive_phase(Polynomial.from_roots([0.5, 0.25]))
-
-    def test_pair_predicate(self):
-        a = Polynomial([1, 2, 1], 2)
-        b = Polynomial([2, 5, 2], 2)
-        assert is_self_inversive_phase_pair(a, b)
 
 
 class TestJson:

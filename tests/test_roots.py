@@ -398,7 +398,6 @@ class TestTags:
         rs = find_roots(Polynomial.from_roots([0.2, 0.5j]))
         assert rs.all_inside()
         assert rs.all_in_closed_disk()
-        assert rs.min_boundary_margin() == pytest.approx(0.5)
 
     def test_csv_format(self):
         rs = RootSet(((1.0 + 0.0j, 2),), 0.0)
