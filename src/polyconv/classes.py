@@ -257,8 +257,9 @@ def _least_gap(arg, n, z, tol):
     that spacing (phi's spikes and their tails), bisected while phi rises by
     more than PHASE_STEP, each minimum refined by guarded Newton steps."""
     tau, count = 2.0 * math.pi, n * math.ceil(2.0 * math.pi / PHASE_STEP)
-    d = np.multiply.outer(1.0 - np.abs(z), np.sqrt(2.0) ** np.arange(-3, 60))
-    graded = (np.angle(z)[:, None] + np.stack([d, -d]))[np.stack([d, d]) < tau / count]
+    d = np.sqrt(2.0) ** np.arange(-8, 60)
+    d = np.multiply.outer(1.0 - np.abs(z), np.concatenate([d, -d]))
+    graded = (np.angle(z)[:, None] + d)[np.abs(d) < tau / count]
     theta = np.sort(np.concatenate([tau * np.arange(count) / count, graded % tau]))
     phi, dphi, _ = arg(theta)
     while (wide := np.flatnonzero(np.concatenate([phi[1:], phi[:1] + tau * n]) - phi
