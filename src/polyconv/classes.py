@@ -269,8 +269,8 @@ def _least_gap(arg, n, z, tol):
         theta, phi, dphi = (np.concatenate(v)[order]
                             for v in zip((theta, phi, dphi), (mid, *arg(mid)[:2])))
     # levels phi +- 2 pi: each gap's end x, and a node whose gap ends at theta;
-    # second-order Newton steps from the Hermite inverse in the table, each to
-    # tol^(1/3), which leaves an error within tol
+    # second-order Newton steps from the Hermite inverse in the table, each
+    # until the error left, about (phi''/phi')^2 r^3 / 2, is within tol in phi
     nodes = theta.size
     tt, pp, dd = (np.concatenate([v - c, v, v + c])
                   for v, c in ((theta, tau), (phi, tau * n), (dphi, 0.0)))
@@ -291,7 +291,7 @@ def _least_gap(arg, n, z, tol):
         np.copyto(nxt, 0.5 * (lv + hv), where=(nxt < lv) | (nxt > hv))
         step = nxt - v
         x[todo], lo[todo], hi[todo], dx[todo] = nxt, lv, hv, d + dd * step
-        if not (todo := np.arange(x.size)[todo][np.abs(step * d) > tol ** (1.0 / 3.0)]).size:
+        if not (todo := np.arange(x.size)[todo][(dd / d) ** 2 * np.abs(r) ** 3 * d > tol]).size:
             break
     # with those nodes none lies inside the image of a node interval.  A gap
     # minimum (gap' = h / phi'(x), h = phi'(theta) - phi'(x)) lies where h goes
@@ -317,11 +317,11 @@ def _least_gap(arg, n, z, tol):
              + wd * f * (1.0 - f) * ((1.0 + s0) * (1.0 - f) - (1.0 + s1) * f))
         for _ in range(NEWTON_STEPS if j.size else 0):
             pt, py, dt, dy, ddt, ddy = np.concatenate(arg(np.concatenate([t, y]))).reshape(6, -1)
-            # y onto the level; h there to first order, trusted once within tol^(1/3)
+            # y onto the level; h there to first order, trusted once within sqrt(tol)
             r = (py - pt - tau) / dy
             y = np.minimum(np.maximum(y - r * (1.0 + 0.5 * ddy / dy * r), ylo), yhi)
             hh, dh = dt - dy + ddy * r, ddt - ddy * dt / dy
-            ok = np.abs(r * dy) <= tol ** (1.0 / 3.0)
+            ok = np.abs(r * dy) <= math.sqrt(tol)
             np.copyto(lo, t, where=ok & (hh < 0.0))
             np.copyto(hi, t, where=ok & (hh > 0.0))
             nxt = t - hh / dh

@@ -379,6 +379,25 @@ class TestBoundaryFamilyOpenClass:
                 v = in_D_first(F, lp, closed)
                 assert v.indeterminate and v.member == closed, (lp, closed, v)
 
+    def test_first_route_solves_its_levels_to_rounding(self):
+        # boundary-family polynomials of the benchmark's routes inputs whose
+        # margins, in 50-digit arithmetic from their zeros, are -2.0e-13 and
+        # -6.6e-14: level solves stopped at a step of tol^(1/3) read -8.3e-10
+        # and -3.3e-11 and called them confident non-members
+        lp = LambdaParam(3, 0.2 * math.pi)
+        for coeffs, exact in (
+                ([-9.229817210537444 + 6.3587600128107695j,
+                  -25.22174080115105 + 7.2929756092593845j,
+                  -26.27950643516632 - 2.0614986213235436j,
+                  -10.441908770724202 - 4.360513614782201j], -2.03e-13),
+                ([-4.900430809294468 + 10.23817577989877j,
+                  -18.960522316399476 + 18.57657367610056j,
+                  -25.091550214548867 + 10.34925517763017j,
+                  -11.925963622652196 + 0.8105076894639572j], -6.56e-14)):
+            v = in_D_first(Polynomial(coeffs, 3), lp)
+            assert v.indeterminate and v.member, v
+            assert v.margin == pytest.approx(exact, abs=1e-13)
+
     def test_oracle_never_confident_open_member(self):
         # the grid's least value lies within its drop to its neighbours, or
         # below zero, where the open class rejects it anyway
@@ -506,10 +525,10 @@ class TestFirstRouteFolds:
                     assert (v.member, v.margin) == (ref.member, ref.margin)
                 continue
             v = self.check_against_scans(lp, F)
+            # the boundary family's margin is 0: within the bound, always
+            assert v.indeterminate == (shape == "boundary"), (shape, lp, v)
             if not v.indeterminate:
                 members[v.member] += 1
-            else:
-                assert shape == "boundary", (shape, lp, v)
         assert members[True] >= 15 and members[False] >= 4, members
 
     @pytest.mark.parametrize("n", [5, 6])
