@@ -301,12 +301,18 @@ def _least_gap(arg, n, z, tol):
     theta, x, dx, h = (np.concatenate(v)[order] for v in (
         (theta, back), (x[:nodes], theta + back - x[nodes:]), (dx[:nodes], dphi),
         (dphi - dx[:nodes], dx[nodes:] - dphi)))
-    hn = np.concatenate([h[1:], h[:1]])
-    j = np.flatnonzero((h < 0.0) & (hn >= 0.0))
+    hn, dxn = np.concatenate([h[1:], h[:1]]), np.concatenate([dx[1:], dx[:1]])
+    # skip a sign change within rounding: with |h| width <= tol phi' at both
+    # nodes, the gap between them lies within tol of theirs.  Coincident
+    # nodes at a maximum of the gap give such changes, and bisecting one
+    # took tens of steps
+    width = np.concatenate([theta[1:], theta[:1] + tau]) - theta
+    j = np.flatnonzero((h < 0.0) & (hn >= 0.0)
+                       & ((-h * width > tol * dx) | (hn * width > tol * dxn)))
     theta, x, dx = (np.concatenate([v[-1:] - c, v, v[:2] + c])
                     for v, c in ((theta, tau), (x, tau), (dx, 0.0)))
     lo, hi, ylo, yhi = theta[j], theta[j + 3], x[j], x[j + 3]
-    t0, x0, x1, wd = theta[j + 1], x[j + 1], x[j + 2], theta[j + 2] - theta[j + 1]
+    t0, x0, x1, wd = theta[j + 1], x[j + 1], x[j + 2], width[j]
     s0, s1, g = h[j] / dx[j + 1], hn[j] / dx[j + 2], x0 - x1 + wd
     qa, qb = 6.0 * g + 3.0 * wd * (s0 + s1), -6.0 * g - wd * (4.0 * s0 + 2.0 * s1)
     with np.errstate(divide="ignore", invalid="ignore"):

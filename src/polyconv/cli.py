@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, asdict, fields, replace
 
@@ -30,8 +31,8 @@ class Config:
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.circle_tol <= 0:
-            raise ValueError("circle_tol must be positive")
+        if not 0.0 < self.circle_tol < math.inf:
+            raise ValueError("circle_tol must be positive and finite")
         if self.boundary_samples < 8:
             raise ValueError("boundary_samples must be >= 8")
         if self.output_format not in {"json", "csv"}:

@@ -4,7 +4,9 @@ Eigenvalues of the companion matrix (Edelman & Murakami 1995), a short
 Newton polish, and geometric clustering for multiplicities confirmed by a
 derivative test.  Deterministic given its options.  `_circle_sign`
 certifies the sign of Im(A conj B) on the circle, which decides where a
-pencil of polynomials takes zeros on the circle without root finding.
+pencil of polynomials takes zeros on the circle without root finding: it
+samples on a node grid in numpy, then refines each node minimum by scalar
+Newton steps that stop once a step cannot beat the rounding of the sign.
 """
 
 from __future__ import annotations
@@ -317,27 +319,6 @@ def interspersed(p_roots, q_roots, strict=False):
     return all(owners[i] != owners[(i + 1) % k] for i in range(k))
 
 
-#: s, s', s'', q, q', q'' (derivatives in phi, q = |a|^2 + |b|^2) as sums of
-#: w Im or w Re of x conj(y), x and y among v = (a, b, a', b', a'', b''):
-#: (form, part, w, x, y)
-_FORM_TERMS = (
-    (0, "im", 1, 0, 1),                                          # Im a b*
-    (1, "im", 1, 2, 1), (1, "im", 1, 0, 3),                      # Im(a' b* + a b'*)
-    (2, "im", 1, 4, 1), (2, "im", 2, 2, 3), (2, "im", 1, 0, 5),  # Im(a'' b* + 2 a' b'* + a b''*)
-    (3, "re", 1, 0, 0), (3, "re", 1, 1, 1),                      # |a|^2 + |b|^2
-    (4, "re", 2, 2, 0), (4, "re", 2, 3, 1),                      # 2 Re(a' a* + b' b*)
-    (5, "re", 2, 4, 0), (5, "re", 2, 5, 1),                      # 2 Re(a'' a* + b'' b*
-    (5, "re", 2, 2, 2), (5, "re", 2, 3, 3),                      #      + |a'|^2 + |b'|^2)
-)
-_FORM_X = np.array([t[3] for t in _FORM_TERMS])
-_FORM_Y = np.array([t[4] for t in _FORM_TERMS])
-#: the weights w by term and form, of the imaginary and of the real parts
-_FORM_IM, _FORM_RE = (
-    np.array([[t[2] * (t[0] == f and t[1] == part) for f in range(6)] for t in _FORM_TERMS],
-             dtype=float)
-    for part in ("im", "re"))
-
-
 @functools.lru_cache(maxsize=32)
 def _circle_nodes(size):
     """The M = max(64, 32 size) nodes of _circle_sign and the matrix
@@ -357,28 +338,28 @@ def _circle_sign(A, B):
     M = max(64, 32(d + 1)) nodes, never through the product coefficients of
     s, whose rounding swamps s where A and B nearly share a zero by the
     circle.  g = s / (|a|^2 + |b|^2) is oriented by sigma, the sign of its
-    larger extreme, and each node minimum of sigma*g is refined by Newton's
-    method on g' = (s'q - s q')/q^2, q = |a|^2 + |b|^2, from the vertex of
-    the parabola through the node and its two neighbours, bracketed to one
-    node spacing either side and guarded by bisection, to a step of 1e-13;
-    a refined value above its node's keeps the node.  The rounding of s is
-    bounded by |a| e_B + |b| e_A + e_A e_B, e_X = 4(d+1) eps sum|X_k|.
-    Returns (margin, indeterminate, z): the least sigma*g and its circle
-    point z; indeterminate unless every minimum clears its bound, or one
-    falls below minus its bound while a node clears it.
+    larger extreme.  Each node minimum of sigma*g is then refined on its own,
+    in scalar complex arithmetic, by Newton's method on
+    g' = (s'q - s q')/q^2, q = |a|^2 + |b|^2, from the vertex of the parabola
+    through the node and its two neighbours, bracketed to one node spacing
+    either side and guarded by bisection.  A and B and their first two
+    derivatives come from one Horner pass per step.  The steps stop at a step
+    of 1e-13, or once the step cannot lower g by more than its rounding,
+    |g' dx| q <= |a| e_B + |b| e_A + e_A e_B, the bound on the rounding of s
+    with e_X = 4(d+1) eps sum|X_k|; a refined value above its node's keeps
+    the node.  Returns (margin, indeterminate, z): the least sigma*g and its
+    circle point z; indeterminate unless every minimum clears its bound, or
+    one falls below minus its bound while a node clears it.
     """
-    k = np.arange(len(A))
     AB = np.stack([A, B], axis=1)
-    eA, eB = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)
-
-    def sign(a, b):
-        s = np.imag(a * np.conj(b))
-        q = np.abs(a) ** 2 + np.abs(b) ** 2
-        g = np.divide(s, q, out=np.zeros_like(s), where=q > 0.0)
-        return s, g, np.abs(a) * eB + np.abs(b) * eA + eA * eB
-
+    eA, eB = (4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)).tolist()
     x, nodes = _circle_nodes(len(A))
-    s0, g0, err0 = sign(*(nodes @ AB).T)
+    a, b = (nodes @ AB).T
+    ra, rb = np.abs(a), np.abs(b)
+    s0 = np.imag(a * np.conj(b))
+    q = ra ** 2 + rb ** 2
+    g0 = np.divide(s0, q, out=np.zeros_like(s0), where=q > 0.0)
+    err0 = ra * eB + rb * eA + eA * eB
     sigma = 1.0 if g0.max() >= -g0.min() else -1.0
     clears = bool(np.any(sigma * s0 > err0))
     t = sigma * g0
@@ -387,39 +368,57 @@ def _circle_sign(A, B):
     low = (t < tt[:-2]) & (t <= tt[2:])
     low[np.argmin(t)] = True
     i = np.flatnonzero(low)
-    w = x[1]
+    w = float(x[1])
     tl, t0, tr = tt[i], t[i], tt[i + 2]
     curv = tl - 2.0 * t0 + tr
-    lo, hi = x[i] - w, x[i] + w
-    xs = x[i] + np.divide(0.5 * w * (tl - tr), curv, out=np.zeros_like(curv),
-                          where=curv > 0.0)
-    # v from one product, then s, s', s'', q, q', q'' from v's products
-    cols = np.stack([A, B, 1j * k * A, 1j * k * B, -k * k * A, -k * k * B], axis=1)
-    nxt = xs
-    with np.errstate(divide="ignore", invalid="ignore"):
+    start = x[i] + np.divide(0.5 * w * (tl - tr), curv, out=np.zeros_like(curv),
+                             where=curv > 0.0)
+    rows = AB[::-1].tolist()  # [A_k, B_k] from the top coefficient down
+    least, crossed, cleared = math.inf, False, True
+    for xs, xn, tn, sn, en in zip(start.tolist(), x[i].tolist(), t0.tolist(),
+                                  s0[i].tolist(), err0[i].tolist()):
+        lo, hi = xn - w, xn + w
         for _ in range(NEWTON_STEPS):
-            xs = nxt
-            v = np.exp(1j * np.multiply.outer(xs, k)) @ cols
-            p = v[:, _FORM_X] * np.conj(v[:, _FORM_Y])
-            s, ds, dds, q, dq, ddq = (p.imag @ _FORM_IM + p.real @ _FORM_RE).T
-            dg = sigma * (ds * q - s * dq) / q**2
-            ddg = sigma * (dds * q - s * ddq) / q**2 - 2.0 * dq * dg / q
-            lo = np.where(dg < 0.0, xs, lo)
-            hi = np.where(dg > 0.0, xs, hi)
-            nxt = xs - dg / ddg
+            z = complex(math.cos(xs), math.sin(xs))
+            # A, B, their z-derivatives and halved second z-derivatives at z
+            a = da = dda = b = db = ddb = 0j
+            for ca, cb in rows:
+                dda, da, a = dda * z + da, da * z + a, a * z + ca
+                ddb, db, b = ddb * z + db, db * z + b, b * z + cb
+            # derivatives in phi: a' = i z A', a'' = -z A' - z^2 A''
+            da, dda = 1j * z * da, -z * (da + 2.0 * z * dda)
+            db, ddb = 1j * z * db, -z * (db + 2.0 * z * ddb)
+            ac, bc, dbc = a.conjugate(), b.conjugate(), db.conjugate()
+            s = (a * bc).imag
+            ra, rb = abs(a), abs(b)
+            q = ra * ra + rb * rb
+            err = ra * eB + rb * eA + eA * eB
+            dg = nxt = math.nan  # q^2 = 0: bisect, and no rounding stop
+            if q * q > 0.0:
+                ds = (da * bc + a * dbc).imag
+                dds = (dda * bc + 2.0 * da * dbc + a * ddb.conjugate()).imag
+                dq = 2.0 * (da * ac + db * bc).real
+                ddq = 2.0 * (dda * ac + ddb * bc + da * da.conjugate() + db * dbc).real
+                dg = sigma * (ds * q - s * dq) / (q * q)
+                ddg = sigma * (dds * q - s * ddq) / (q * q) - 2.0 * dq * dg / q
+                if dg < 0.0:
+                    lo = xs
+                elif dg > 0.0:
+                    hi = xs
+                if ddg > 0.0:
+                    nxt = xs - dg / ddg
             # inclusive: a converged iterate may sit on an end of its bracket
-            nxt = np.where((ddg > 0.0) & (q > 0.0) & (lo <= nxt) & (nxt <= hi),
-                           nxt, 0.5 * (lo + hi))
-            if np.abs(nxt - xs).max() <= 1e-13:
+            if not lo <= nxt <= hi:
+                nxt = 0.5 * (lo + hi)
+            if abs(nxt - xs) <= 1e-13 or abs(dg * (nxt - xs)) * q <= err:
                 break
-    s, g, err = sign(v[:, 0], v[:, 1])
-    # never report a minimum above the node it started from
-    node = sigma * g > t0
-    s = np.where(node, s0[i], s)
-    g = np.where(node, g0[i], g)
-    err = np.where(node, err0[i], err)
-    xs = np.where(node, x[i], xs)
-    crossed = clears and bool(np.any(sigma * s < -err))
-    j = int(np.argmin(sigma * g))
-    return (float(sigma * g[j]), not crossed and not bool(np.all(sigma * s > err)),
-            complex(np.exp(1j * xs[j])))
+            xs = nxt
+        g = s / q if q > 0.0 else 0.0
+        # never report a minimum above the node it started from
+        if sigma * g > tn:
+            s, g, err, z = sn, sigma * tn, en, complex(math.cos(xn), math.sin(xn))
+        crossed = crossed or sigma * s < -err
+        cleared = cleared and sigma * s > err
+        if not sigma * g >= least:  # sets `at` on the first minimum, NaN or not
+            least, at = sigma * g, z
+    return least, not (clears and crossed) and not cleared, at

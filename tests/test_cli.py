@@ -86,6 +86,12 @@ class TestBasicCommands:
     def test_missing_file(self):
         assert main(["roots", "/nonexistent/q.json"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_roots_non_finite_circle_tol_is_usage_error(self, pjson, tol, capsys):
+        # nan tagged the unimodular zeros OUTSIDE and inf tagged 0.5 ON
+        assert main(["--circle-tol", tol, "--output-format", "csv", "roots", pjson]) == 2
+        assert capsys.readouterr().err.startswith("error: circle_tol")
+
     def test_roots_nan_coefficient_is_usage_error(self, tmp_path):
         # run as a program so that a traceback would reach stderr
         path = tmp_path / "nan.json"

@@ -13,6 +13,7 @@ from polyconv.poly import LambdaParam, Polynomial
 from polyconv.qconv import q_extremal
 from polyconv.roots import (
     CLUSTER_TOL,
+    NEWTON_STEPS,
     ON,
     RootSet,
     _circle_sign,
@@ -342,6 +343,87 @@ def zoom_circle_sign(A, B, zooms=6):
             node_min)
 
 
+#: s, s', s'', q, q', q'' (derivatives in phi, q = |a|^2 + |b|^2) as sums of
+#: w Im or w Re of x conj(y), x and y among v = (a, b, a', b', a'', b''):
+#: (form, part, w, x, y)
+_FORM_TERMS = (
+    (0, "im", 1, 0, 1),                                          # Im a b*
+    (1, "im", 1, 2, 1), (1, "im", 1, 0, 3),                      # Im(a' b* + a b'*)
+    (2, "im", 1, 4, 1), (2, "im", 2, 2, 3), (2, "im", 1, 0, 5),  # Im(a'' b* + 2 a' b'* + a b''*)
+    (3, "re", 1, 0, 0), (3, "re", 1, 1, 1),                      # |a|^2 + |b|^2
+    (4, "re", 2, 2, 0), (4, "re", 2, 3, 1),                      # 2 Re(a' a* + b' b*)
+    (5, "re", 2, 4, 0), (5, "re", 2, 5, 1),                      # 2 Re(a'' a* + b'' b*
+    (5, "re", 2, 2, 2), (5, "re", 2, 3, 3),                      #      + |a'|^2 + |b'|^2)
+)
+_FORM_X = np.array([t[3] for t in _FORM_TERMS])
+_FORM_Y = np.array([t[4] for t in _FORM_TERMS])
+#: the weights w by term and form, of the imaginary and of the real parts
+_FORM_IM, _FORM_RE = (
+    np.array([[t[2] * (t[0] == f and t[1] == part) for f in range(6)] for t in _FORM_TERMS],
+             dtype=float)
+    for part in ("im", "re"))
+
+
+def reference_circle_sign(A, B):
+    """_circle_sign with every node minimum refined at once by stacked numpy
+    Newton steps, which stop only at a step of 1e-13 for all of them, as it
+    was before the scalar steps with their rounding-level stop.  Returns
+    (margin, indeterminate, least node value, circle point of the margin)."""
+    k = np.arange(len(A))
+    AB = np.stack([A, B], axis=1)
+    eA, eB = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)
+
+    def sign(a, b):
+        s = np.imag(a * np.conj(b))
+        q = np.abs(a) ** 2 + np.abs(b) ** 2
+        g = np.divide(s, q, out=np.zeros_like(s), where=q > 0.0)
+        return s, g, np.abs(a) * eB + np.abs(b) * eA + eA * eB
+
+    m = max(64, 32 * len(A))
+    x = 2.0 * np.pi * np.arange(m) / m
+    s0, g0, err0 = sign(*(np.exp(1j * np.multiply.outer(x, k)) @ AB).T)
+    sigma = 1.0 if g0.max() >= -g0.min() else -1.0
+    clears = bool(np.any(sigma * s0 > err0))
+    t = sigma * g0
+    tt = np.concatenate([t[-1:], t, t[:1]])
+    low = (t < tt[:-2]) & (t <= tt[2:])
+    low[np.argmin(t)] = True
+    i = np.flatnonzero(low)
+    w = x[1]
+    tl, t0, tr = tt[i], t[i], tt[i + 2]
+    curv = tl - 2.0 * t0 + tr
+    lo, hi = x[i] - w, x[i] + w
+    xs = x[i] + np.divide(0.5 * w * (tl - tr), curv, out=np.zeros_like(curv),
+                          where=curv > 0.0)
+    cols = np.stack([A, B, 1j * k * A, 1j * k * B, -k * k * A, -k * k * B], axis=1)
+    nxt = xs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(NEWTON_STEPS):
+            xs = nxt
+            v = np.exp(1j * np.multiply.outer(xs, k)) @ cols
+            p = v[:, _FORM_X] * np.conj(v[:, _FORM_Y])
+            s, ds, dds, q, dq, ddq = (p.imag @ _FORM_IM + p.real @ _FORM_RE).T
+            dg = sigma * (ds * q - s * dq) / q**2
+            ddg = sigma * (dds * q - s * ddq) / q**2 - 2.0 * dq * dg / q
+            lo = np.where(dg < 0.0, xs, lo)
+            hi = np.where(dg > 0.0, xs, hi)
+            nxt = xs - dg / ddg
+            nxt = np.where((ddg > 0.0) & (q > 0.0) & (lo <= nxt) & (nxt <= hi),
+                           nxt, 0.5 * (lo + hi))
+            if np.abs(nxt - xs).max() <= 1e-13:
+                break
+    s, g, err = sign(v[:, 0], v[:, 1])
+    node = sigma * g > t0
+    s = np.where(node, s0[i], s)
+    g = np.where(node, g0[i], g)
+    err = np.where(node, err0[i], err)
+    xs = np.where(node, x[i], xs)
+    crossed = clears and bool(np.any(sigma * s < -err))
+    j = int(np.argmin(sigma * g))
+    return (float(sigma * g[j]), not crossed and not bool(np.all(sigma * s > err)),
+            float(t.min()), complex(np.exp(1j * xs[j])))
+
+
 def g_rounding(A, B, z):
     """_circle_sign's rounding bound on s at z, divided by |a|^2 + |b|^2:
     how far rounding alone can move g there."""
@@ -352,19 +434,50 @@ def g_rounding(A, B, z):
     return (abs(a) * eB + abs(b) * eA + eA * eB) / (abs(a) ** 2 + abs(b) ** 2)
 
 
+def third_route_pair(F, n, h):
+    """The pair e^{-inh} F(e^{ih} z), F(e^{-ih} z) of in_D_third."""
+    return cmath.exp(-1j * n * h) * F.rotate(h).coeffs, F.rotate(-h).coeffs
+
+
+def random_pairs():
+    """Third-route pairs, zeros of F inside and outside the disk, degree 1-16."""
+    rng = np.random.default_rng(20261018)
+    for t in range(200):
+        n = 1 + t % 16
+        radius = rng.uniform(0.3, 1.1)
+        F = Polynomial.from_roots(radius * np.sqrt(rng.uniform(size=n))
+                                  * np.exp(2j * np.pi * rng.uniform(size=n)))
+        yield third_route_pair(F, n, 0.5 * rng.uniform(0.05, 0.95) * 2.0 * math.pi / n)
+
+
+def boundary_pairs():
+    """Third-route pairs of the boundary family P - Q_n at small lambda,
+    degree 8-16: s touches 0 at many minima, where g is rounding noise."""
+    rng = np.random.default_rng(1515)
+    for t in range(18):
+        n = 8 + t % 9
+        lam = float(rng.uniform(0.03, 0.2)) * 2.0 * math.pi / n
+        c = cmath.exp(1j * rng.uniform(0.1, math.pi - 0.1))
+        F = extremal_family(n, lam, -float(rng.uniform(0.2, 2.0)), float(rng.normal()),
+                            c) - q_extremal(n, lam)
+        yield third_route_pair(F, n, lam / 2.0)
+
+
 class TestCircleSign:
+    @pytest.mark.parametrize("pairs", [random_pairs, boundary_pairs])
+    def test_scalar_newton_against_stacked_reference(self, pairs):
+        for A, B in pairs():
+            margin, indet, z = _circle_sign(A, B)
+            ref, ref_indet, node_min, ref_z = reference_circle_sign(A, B)
+            assert indet == ref_indet
+            assert margin <= node_min
+            # where g is rounding noise the two may settle on different
+            # minima: each value is good to the rounding at its own point
+            assert abs(margin - ref) <= 1e-12 + max(g_rounding(A, B, z),
+                                                     g_rounding(A, B, ref_z))
+
     def test_newton_against_zooms(self):
-        # third-route pairs e^{-inh} F(e^{ih} z), F(e^{-ih} z), zeros of F
-        # inside and outside the disk, degree 1-16
-        rng = np.random.default_rng(20261018)
-        for t in range(200):
-            n = 1 + t % 16
-            radius = rng.uniform(0.3, 1.1)
-            F = Polynomial.from_roots(radius * np.sqrt(rng.uniform(size=n))
-                                      * np.exp(2j * np.pi * rng.uniform(size=n)))
-            h = 0.5 * rng.uniform(0.05, 0.95) * 2.0 * math.pi / n
-            A = cmath.exp(-1j * n * h) * F.rotate(h).coeffs
-            B = F.rotate(-h).coeffs
+        for A, B in random_pairs():
             margin, indet, z = _circle_sign(A, B)
             _, zoom_indet, node_min = zoom_circle_sign(A, B)
             dense, _, _ = zoom_circle_sign(A, B, zooms=12)
