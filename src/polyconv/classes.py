@@ -32,11 +32,10 @@ from .errors import (
     HypothesisViolated,
     InternalInconsistency,
     NotOnCircle,
-    OutOfRange,
     PhaseCollision,
     PhaseMismatch,
 )
-from .poly import Polynomial, _expand, self_inversive_phase, trimmed
+from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
 from .roots import (CIRCLE_TOL, NEWTON_STEPS, _circle_sign, arg_separation, find_roots,
                     interspersed)
@@ -88,11 +87,6 @@ class CharacterizationPolys:
 
 def _label(base, closed):
     return f"{base}_closed" if closed else f"{base}_open"
-
-
-def _require_open_interval(lp):
-    if not 0.0 < lp.lam < lp.upper:
-        raise OutOfRange(f"lambda={lp.lam} must lie strictly inside (0, {lp.upper})")
 
 
 # -- the circle classes ------------------------------------------------------
@@ -160,7 +154,7 @@ def build_char_polys(F, lp, P=None, Q=None):
     No route builds them: on the circle T(z) = 2i z^n s(z) with
     s = Im(e^{-inh} F_+ conj F_-), whose sign in_D_third decides directly.
     """
-    _require_open_interval(lp)
+    lp.require_interior()
     h = lp.lam / 2.0
     Fi = F.n_inverse()
     T = F.rotate(h).product(Fi.rotate(-h)) - F.rotate(-h).product(Fi.rotate(h))
@@ -223,7 +217,7 @@ def in_D_third(F, lp, closed=True):
     where T has a unimodular zero.  A minimum within its rounding bound is
     indeterminate (closed: member, open: non-member).
     """
-    _require_open_interval(lp)
+    lp.require_interior()
     early, _ = _route_roots(F, lp, closed, _label("D", closed), "THIRD_CHAR")
     if early is not None:
         return early
@@ -356,7 +350,7 @@ def in_D_first(F, lp, closed=True):
     (e_k the rounding of F(z_k)), the margin is indeterminate (closed:
     member, open: non-member).  Witness: the circle point of the least gap.
     """
-    _require_open_interval(lp)
+    lp.require_interior()
     label = _label("D", closed)
     early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
@@ -397,16 +391,15 @@ def in_D_second(P, Q, lp, closed=True):
     some H_theta has a zero on the circle.  A minimum of s within its
     rounding bound is indeterminate (closed: member, open: non-member).
     """
-    _require_open_interval(lp)
+    lp.require_interior()
     label = _label("D", closed)
     # the pencil cannot tell F from its n-inverse (the split only changes
     # sign), so the zero-location preamble has to run on F itself
     early, _ = _route_roots(P - Q, lp, closed, label, "SECOND_CHAR")
     if early is not None:
         return early
-    cP = self_inversive_phase(P)
-    cQ = self_inversive_phase(Q)
-    if min(abs(cP - cQ), abs(cP + cQ)) <= 1e-8:
+    cP, cQ, same = _phases(P, Q)
+    if same:
         raise PhaseCollision("c_P == c_Q: split degenerate for this route")
     for name, X in (("P", P), ("Q", Q)):
         if not find_roots(X).all_on_circle():
@@ -443,7 +436,7 @@ def eq8_oracle(F, lp, closed=True):
     zero of F just inside the circle can make the quotient dip below the
     real axis only within a thin band outside it.
     """
-    _require_open_interval(lp)
+    lp.require_interior()
     label = _label("D", closed)
     if F.is_zero or F.exact_degree != lp.n:
         return MembershipVerdict(label, False, "EQ8_GRID", -math.inf,
@@ -530,22 +523,28 @@ def _in_D_upper(F, lp, closed):
         return MembershipVerdict(label, False, "definition", -math.inf,
                                  {"reason": "exact degree != n"})
     mid = float(np.max(np.abs(c[1:n]))) if n > 1 else 0.0
-    b = -c[0] / c[n]
+    b = complex(-c[0] / c[n])
     member = mid <= 1e-10 * scale and abs(b) <= 1.0 + CIRCLE_TOL
     margin = 1.0 - abs(b) if mid <= 1e-10 * scale else -mid / scale
-    wit = {} if member else {"b": complex(b), "mid_coeff_norm": mid}
+    wit = {} if member else {"b": b, "mid_coeff_norm": mid}
     return MembershipVerdict(label, member, "definition", margin, wit)
 
 
 # -- interspersion lemmas ----------------------------------------------------
 
 
+def _phases(P, Q):
+    """(c_P, c_Q, same): the self-inversive phases of P and Q, and whether
+    they agree up to sign and rounding."""
+    cP = self_inversive_phase(P)
+    cQ = self_inversive_phase(Q)
+    return cP, cQ, min(abs(cP - cQ), abs(cP + cQ)) <= 1e-8
+
+
 def hermite_biehler(P, Q, strict=False):
     """Interspersion of two unimodular zero sets with distinct phases,
     verified along both equivalent routes; disagreement raises."""
-    cP = self_inversive_phase(P)
-    cQ = self_inversive_phase(Q)
-    if min(abs(cP - cQ), abs(cP + cQ)) <= 1e-8:
+    if _phases(P, Q)[2]:
         raise PhaseCollision("distinct self-inversive phases required")
     if P.approx_eq(Q) or (P.norm() > 0 and Q.norm() > 0 and
                           (P * (1.0 / P.norm())).approx_eq(Q * (1.0 / Q.norm()), 1e-12)):
@@ -588,9 +587,7 @@ def hermite_kakeya(P, Q, strict=False):
     admitted only when not strict: with P = (z - z0) P1 and Q = (z - z0) Q1,
     the combination at tan(t) = P1(z0) / Q1(z0) vanishes doubly at z0.
     """
-    cP = self_inversive_phase(P)
-    cQ = self_inversive_phase(Q)
-    if min(abs(cP - cQ), abs(cP + cQ)) > 1e-8:
+    if not _phases(P, Q)[2]:
         raise PhaseMismatch("equal self-inversive phases required")
     if (P * (1.0 / max(P.norm(), 1e-300))).approx_eq(
             Q * (1.0 / max(Q.norm(), 1e-300)), 1e-12):
@@ -634,8 +631,7 @@ def extremal_family(n, lam, a, b, c):
     Each summand clears one simple-pole factor of Q_n in closed form, so the
     result is an exact polynomial of degree n.
     """
-    if not 0.0 < lam < 2.0 * math.pi / n:
-        raise OutOfRange(f"lambda={lam} must lie in (0, 2*pi/{n})")
+    LambdaParam(n, lam).require_interior()
     if a == 0.0:
         raise BadParams("a must be nonzero")
     cc = complex(c)

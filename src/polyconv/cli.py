@@ -20,12 +20,12 @@ import numpy as np
 from . import classes, domains, harness, herglotz, qconv
 from .errors import BadParams, NoConvergence, PolyconvError
 from .poly import LambdaParam, Polynomial
-from .roots import find_roots
+from .roots import CIRCLE_TOL, find_roots
 
 
 @dataclass(frozen=True)
 class Config:
-    circle_tol: float = 1e-7
+    circle_tol: float = CIRCLE_TOL
     boundary_samples: int = 256
     rng_seed: int = 0
     output_format: str = "json"
@@ -40,9 +40,10 @@ class Config:
 
 
 def _load_config(path):
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines; blank lines and # comments ignored.  Each value
+    takes the type of its default."""
     values = {}
-    field_types = {f.name: f.type for f in fields(Config)}
+    defaults = {f.name: f.default for f in fields(Config)}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -53,14 +54,9 @@ def _load_config(path):
             key, _, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in field_types:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "output_format":
-                values[key] = raw
-            elif key in {"boundary_samples", "rng_seed"}:
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
+            values[key] = type(defaults[key])(raw)
     return Config(**values)
 
 
@@ -115,7 +111,9 @@ def _build_parser():
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--show-config", action="store_true",
                    help="print the effective configuration and exit")
-    p.add_argument("--circle-tol", type=float)
+    p.add_argument("--circle-tol", type=float,
+                   help="half-width of the ON band of the circle tags that the roots "
+                        f"command prints (default {CIRCLE_TOL:g}); no other command reads it")
     p.add_argument("--boundary-samples", type=int)
     p.add_argument("--rng-seed", type=int)
     p.add_argument("--output-format", choices=["json", "csv"])
@@ -212,10 +210,12 @@ def _cmd_classify(args, cfg):
 
 
 def _cmd_verify(args, cfg):
+    if args.trials < 1:
+        raise BadParams(f"--trials must be >= 1, got {args.trials}")
     seed = cfg.rng_seed
     if args.theorem == "limacon":
         re, im = (float(x) for x in args.tau.split(","))
-        n = args.n or 5
+        n = 5 if args.n is None else args.n
         reports = [harness.run_limacon_trial(complex(re, im), args.gamma, n,
                                              args.trials, seed=seed)]
     elif args.theorem == "herglotz":
@@ -331,7 +331,7 @@ def main(argv=None):
             if args.action == "boundary":
                 spec = _parse_domain_spec(args.spec)
                 pts = domains.boundary_polyline(
-                    spec, args.samples or cfg.boundary_samples)
+                    spec, cfg.boundary_samples if args.samples is None else args.samples)
                 lines = ["re,im"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in pts]
                 _emit(args, "\n".join(lines))
                 return 0

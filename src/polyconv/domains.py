@@ -178,6 +178,8 @@ def boundary_polyline(d, samples=256):
     """Points on the region boundary, one per angle, found by radial
     bisection on the defining defect.  Returns an (samples, 2) array of
     (re, im) rows for plotting."""
+    if samples < 1:
+        raise BadParams(f"samples must be >= 1, got {samples}")
     if d.kind == COMPLEMENT:
         return boundary_polyline(d.inner, samples)
     if d.kind == UNIT_CIRCLE:

@@ -9,7 +9,7 @@ class DegreeMismatch(PolyconvError):
     """Two polynomials with different nominal degrees were combined."""
 
 
-class OutOfRange(PolyconvError):
+class OutOfRange(PolyconvError, ValueError):
     """A parameter (usually lambda or gamma) lies outside its admissible range."""
 
 

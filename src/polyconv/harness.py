@@ -41,7 +41,7 @@ from .errors import OutOfRange, PolyconvError, SamplerExhausted
 from .herglotz import build_approximant, default_schedule, evaluate_approximant_many
 from .poly import LambdaParam, Polynomial, trimmed
 from .qconv import delta, grace_szego, lambda_convolve, q_extremal
-from .roots import find_roots
+from .roots import CIRCLE_TOL, find_roots
 
 MARGIN_TOL = 1e-6
 #: rejection draws sample_D makes before it gives up
@@ -118,10 +118,8 @@ def sample_T(n, lam, strict, rng):
     """Random member of the circle class: gaps lam + Dirichlet-distributed
     excess, random rotation and unimodular leading factor.  Non-strict draws
     pin a random subset of gaps to exactly lam now and then."""
-    upper = 2.0 * math.pi / n
-    if not 0.0 <= lam <= upper + 1e-15:
-        raise OutOfRange(f"lambda={lam} outside [0, 2*pi/{n}]")
-    if strict and lam >= upper - 1e-15:
+    # LambdaParam validates lam in either case
+    if LambdaParam(n, lam).is_upper_endpoint and strict:
         raise OutOfRange("strict sampling impossible at the upper endpoint")
     excess = 2.0 * math.pi - n * lam
     if excess <= 1e-12:
@@ -152,8 +150,7 @@ def sample_D(n, lam, rng, strategy=None):
             2j * np.pi * rng.uniform(0.0, 1.0, n))
         return Polynomial.from_roots(roots), "disk"
     lp = LambdaParam(n, lam)
-    if not 0.0 < lam < lp.upper:
-        raise OutOfRange(f"lambda={lam} outside (0, 2*pi/{n})")
+    lp.require_interior()
     tag = strategy or ("scaled", "boundary", "rejection")[rng.integers(0, 3)]
     if tag == "scaled":
         F0 = sample_T(n, lam, strict=False, rng=rng)
@@ -334,6 +331,8 @@ def run_limacon_trial(tau, gamma, n, trials, seed=0):
     zero domains: six positive arms plus the planted-root falsification arm."""
     if not 0.0 <= gamma < 1.0:
         raise OutOfRange(f"gamma={gamma} outside [0, 1)")
+    if n < 1:
+        raise OutOfRange(f"n must be >= 1, got {n}")
     tau = complex(tau)
     rep = TrialReport(f"limacon tau={tau} gamma={gamma} n={n}", seed=seed)
     om_open = omega(tau, gamma)
@@ -447,8 +446,8 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
             F = sample_T(n, lam, strict=False, rng=rng)
             dist = _escape_distance(delta(F, lp))
             # boundary-landing roots are a clean pass for the closed target
-            if dist <= 1e-7:
-                rep.record(max(-dist, 1e-7))
+            if dist <= CIRCLE_TOL:
+                rep.record(max(-dist, CIRCLE_TOL))
             elif dist <= MARGIN_TOL:
                 rep.skip()
             else:
@@ -532,9 +531,4 @@ def run_grid(theorem, trials=20, seed=0, n_max=8):
     """One report per standard-grid point for a circle/disk theorem."""
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    reports = []
-    for n, lam in standard_grid(n_max):
-        if theorem in {"suffridge"} and abs(lam - 2.0 * math.pi / n) < 1e-12:
-            continue
-        reports.append(_THEOREMS[theorem](n, lam, trials, seed))
-    return reports
+    return [_THEOREMS[theorem](n, lam, trials, seed) for n, lam in standard_grid(n_max)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeMismatch, NotSymmetric
+from .errors import DegreeMismatch, NotSymmetric, OutOfRange
 
 #: default relative coefficient tolerance (relative to max coefficient modulus)
 COEFF_TOL = 1e-10
@@ -178,8 +178,9 @@ class Polynomial:
 class LambdaParam:
     """Validated separation parameter: n >= 1 and 0 <= lam <= 2*pi/n.
 
-    The endpoints are representable; operations needing the open interval
-    check it themselves.
+    The one place that decides the lambda range; is_upper_endpoint allows
+    the upper endpoint a rounding slack.  Both endpoints are representable;
+    operations needing the open interval call require_interior.
     """
 
     n: int
@@ -187,9 +188,9 @@ class LambdaParam:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.lam <= 2.0 * math.pi / self.n + 1e-15:
-            raise ValueError(f"lambda={self.lam} outside [0, 2*pi/{self.n}]")
+            raise OutOfRange(f"n must be >= 1, got {self.n}")
+        if not (0.0 <= self.lam <= self.upper or self.is_upper_endpoint):
+            raise OutOfRange(f"lambda={self.lam} outside [0, 2*pi/{self.n}]")
 
     @property
     def upper(self):
@@ -198,6 +199,11 @@ class LambdaParam:
     @property
     def is_upper_endpoint(self):
         return abs(self.lam - self.upper) <= 1e-15
+
+    def require_interior(self):
+        """Raise OutOfRange at lambda = 0 and at the upper endpoint."""
+        if not self.lam > 0.0 or self.is_upper_endpoint:
+            raise OutOfRange(f"lambda={self.lam} must lie strictly inside (0, {self.upper})")
 
 
 def _expand(factors, leading=1.0):

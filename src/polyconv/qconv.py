@@ -2,7 +2,7 @@
 
 The coefficient table C_k^(n)(lambda) is computed by the real sine-ratio
 product (cancellation free, positive on the open interval) rather than via
-complex Gaussian binomials.  Tables are cached per (n, lambda bits).
+complex Gaussian binomials.  Tables are cached per (n, lambda).
 """
 
 from __future__ import annotations
@@ -18,22 +18,16 @@ from .errors import OutOfRange
 from .poly import LambdaParam, Polynomial, _expand
 
 
-def _check_lambda(n, lam, allow_upper=False):
-    upper = 2.0 * math.pi / n
-    hi = upper if allow_upper else upper - 1e-15
-    if not 0.0 <= lam <= hi + (1e-15 if allow_upper else 0.0):
-        raise OutOfRange(f"lambda={lam} outside admissible range for n={n}")
-
-
 @lru_cache(maxsize=4096)
-def _table(n, lam_bits):
-    lam = np.frombuffer(lam_bits, dtype=float)[0]
+def _table(n, lam):
+    """C_0..C_n at (n, lambda), validated by LambdaParam; a raise is not
+    cached, so a cache hit needs no check."""
+    lp = LambdaParam(n, lam)
     # a subnormal half-step loses the sine ratios (at 5e-324 it is 0.0 and
     # the row turns to inf/nan); the lambda -> 0 limit is exact there
     if lam / 2.0 < sys.float_info.min:
         return np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    upper = 2.0 * math.pi / n
-    if abs(lam - upper) <= 1e-15:
+    if lp.is_upper_endpoint:
         vals = np.zeros(n + 1)
         vals[0] = vals[n] = 1.0
         return vals
@@ -45,13 +39,23 @@ def _table(n, lam_bits):
     return vals
 
 
+def _row(f, lp):
+    """The weights C_0..C_n at lp for f of nominal degree n.  The upper
+    endpoint is rejected: the interior weights vanish there."""
+    if f.nominal_degree != lp.n:
+        raise OutOfRange(f"lambda parameter is for n={lp.n}, polynomial has n={f.nominal_degree}")
+    if lp.is_upper_endpoint:
+        raise OutOfRange(f"lambda={lp.lam} is the upper endpoint 2*pi/{lp.n}, "
+                         "where the weights vanish")
+    return _table(lp.n, lp.lam)
+
+
 def q_coefficient(n, k, lam):
     """C_k^(n)(lambda): sine-ratio product; binomial at lambda=0; 1/0 table
     at the upper endpoint 2*pi/n."""
     if not 0 <= k <= n:
         raise OutOfRange(f"k={k} outside 0..{n}")
-    _check_lambda(n, lam, allow_upper=True)
-    return float(_table(n, np.float64(lam).tobytes())[k])
+    return float(_table(n, lam)[k])
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,7 @@ class QCoefficientTable:
 
     @classmethod
     def build(cls, n, lam):
-        _check_lambda(n, lam, allow_upper=True)
-        return cls(n, lam, tuple(_table(n, np.float64(lam).tobytes())))
+        return cls(n, lam, tuple(_table(n, lam)))
 
 
 def q_extremal(n, lam):
@@ -74,8 +77,7 @@ def q_extremal(n, lam):
     The expanded coefficients are real and equal to C_k^(n)(lambda), so the
     sine-ratio row is returned without expanding the product.
     """
-    _check_lambda(n, lam, allow_upper=True)
-    return Polynomial(_table(n, np.float64(lam).tobytes()).astype(complex), n)
+    return Polynomial(_table(n, lam).astype(complex), n)
 
 
 def gauss_product(n, q):
@@ -98,11 +100,7 @@ def lambda_convolve(f, g, lp: LambdaParam):
     vanish there.
     """
     f._check_degree(g)
-    if f.nominal_degree != lp.n:
-        raise OutOfRange(f"lambda parameter is for n={lp.n}, polynomials have n={f.nominal_degree}")
-    _check_lambda(lp.n, lp.lam, allow_upper=False)
-    w = _table(lp.n, np.float64(lp.lam).tobytes())
-    return Polynomial(f.coeffs * g.coeffs / w, lp.n)
+    return Polynomial(f.coeffs * g.coeffs / _row(f, lp), lp.n)
 
 
 def delta(f, lp: LambdaParam):
@@ -112,26 +110,13 @@ def delta(f, lp: LambdaParam):
     lambda > 0, and F'/n at lambda = 0.  Result has nominal degree n-1.
     """
     n = lp.n
-    if f.nominal_degree != n:
-        raise OutOfRange(f"lambda parameter is for n={n}, polynomial has n={f.nominal_degree}")
-    if n < 1:
-        raise OutOfRange("need n >= 1")
-    _check_lambda(n, lp.lam, allow_upper=False)
+    big = _row(f, lp)
     if lp.lam == 0.0:
         return Polynomial(f.derivative().coeffs / n, n - 1)
-    big = _table(n, np.float64(lp.lam).tobytes())
-    if n == 1:
-        small = np.array([1.0])
-    else:
-        small = _table(n - 1, np.float64(lp.lam).tobytes())
-    out = f.coeffs[1:] * small / big[1:]
-    return Polynomial(out, n - 1)
+    small = _table(n - 1, lp.lam) if n > 1 else np.array([1.0])
+    return Polynomial(f.coeffs[1:] * small / big[1:], n - 1)
 
 
 def pre_lift(f, lp: LambdaParam):
     """Hadamard product with Q_n(lambda; .): the pre-coefficient class lift."""
-    if f.nominal_degree != lp.n:
-        raise OutOfRange(f"lambda parameter is for n={lp.n}, polynomial has n={f.nominal_degree}")
-    _check_lambda(lp.n, lp.lam, allow_upper=False)
-    w = _table(lp.n, np.float64(lp.lam).tobytes())
-    return Polynomial(f.coeffs * w, lp.n)
+    return Polynomial(f.coeffs * _row(f, lp), lp.n)

@@ -2,6 +2,7 @@
 interspersion lemmas, half-plane criterion, the explicit boundary family."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -166,6 +167,10 @@ class TestDiskRoutes:
     def non_member(self):
         return Polynomial.from_roots([2.0, 0.5j, -0.3, 1.5j, 0.9])
 
+    def on_and_inside(self):
+        # one zero on the circle, the others inside: no zero outside
+        return Polynomial.from_roots([np.exp(0.4j), 0.5j, -0.3, 0.4, 0.2 + 0.1j])
+
     def test_routes_agree_on_member(self):
         lp = LambdaParam(self.n, self.lam)
         F = self.member()
@@ -177,22 +182,41 @@ class TestDiskRoutes:
 
     def test_third_and_oracle_reject_mixed_roots(self):
         lp = LambdaParam(self.n, self.lam)
-        F = self.non_member()
-        assert not in_D_third(F, lp, True).member
-        assert not in_D_first(F, lp, True).member
-        assert not eq8_oracle(F, lp, True).member
+        for F in (self.non_member(), self.on_and_inside()):
+            assert not in_D_third(F, lp, True).member
+            assert not in_D_first(F, lp, True).member
+            assert not eq8_oracle(F, lp, True).member
+        for route in (in_D_third, in_D_first):
+            v = route(self.on_and_inside(), lp, True)
+            assert v.margin == 0.0 and "mixed_root_on_circle" in v.witnesses
 
     def test_second_route_rejects_mixed_roots_in_preamble(self):
         # the pencil itself cannot tell F from its n-inverse, so mixed or
         # outside zero locations must be rejected before the theta scan
         lp = LambdaParam(self.n, self.lam)
-        P, Q = split(self.non_member())
-        v = in_D_second(P, Q, lp, True)
-        assert not v.member
-        assert v.method.startswith("SECOND_CHAR")
+        for F in (self.non_member(), self.on_and_inside()):
+            v = in_D_second(*split(F), lp, True)
+            assert not v.member
+            assert v.method.startswith("SECOND_CHAR")
+        assert "mixed_root_on_circle" in v.witnesses
+
+    def test_degree_deficit_rejected(self):
+        # exact degree 2 at nominal degree 5, on every route and at both
+        # endpoints (the open class at the upper one is empty anyway)
+        F = Polynomial([0.1, 0.2, 1.0, 0.0, 0.0, 0.0], self.n)
+        lp = LambdaParam(self.n, self.lam)
+        verdicts = [route(F, lp, closed) for closed in (True, False)
+                    for route in (in_D_third, in_D_first, eq8_oracle,
+                                  lambda F, lp, closed: in_D_second(*split(F), lp, closed))]
+        verdicts += [in_D(F, LambdaParam(self.n, 0.0), closed) for closed in (True, False)]
+        verdicts.append(in_D(F, LambdaParam(self.n, TP / self.n), True))
+        for v in verdicts:
+            assert not v.member and v.margin == -math.inf, v
+            assert v.witnesses == {"reason": "exact degree != n"}, v
 
     def test_second_route_degree_one(self):
-        # at n = 1 the pencil is constant and only the sign test decides
+        # at n = 1 the pencil is constant and only the sign test decides;
+        # the first route's single fold zero is 2 pi from itself
         lp = LambdaParam(1, 1.0)
         for c0 in (-0.5, 0.3 + 0.4j, -0.9j):
             F = Polynomial([c0, 1.0], 1)
@@ -200,6 +224,8 @@ class TestDiskRoutes:
                 v = in_D_second(*split(F), lp, closed)
                 assert v.member == in_D_third(F, lp, closed).member
                 assert not v.indeterminate
+                first = in_D_first(F, lp, closed)
+                assert first.member == v.member and first.margin == TP - lp.lam
 
     def test_oracle_sees_dip_just_outside_circle(self):
         # the zero at 0.99 pushes the quotient below the real axis only for
@@ -647,6 +673,11 @@ class TestEndpoints:
         assert in_D(good, lp, True).member
         assert not in_D(bad_b, lp, True).member
         assert not in_D(bad_mid, lp, True).member
+        for F in (good, bad_b, bad_mid):
+            v = in_D(F, lp, True)
+            # plain bool and float, which json takes (numpy scalars it does not)
+            assert type(v.member) is bool and type(v.margin) is float
+            json.dumps(v.as_dict())
 
     def test_upper_endpoint_open_is_empty(self):
         n = 4
@@ -694,11 +725,13 @@ class TestHermiteBiehler:
 
     def test_alternating_true(self):
         assert hermite_biehler(self.P, self.Q)
+        assert hermite_biehler(self.P, self.Q, strict=True)
 
     def test_clustered_false(self):
         P2 = cpoly([0.5, 1.0, TP - 1.0, TP - 0.5])
         Q2 = cpoly([2.0, 2.5, TP - 2.5, TP - 2.0])
         assert not hermite_biehler(P2, Q2 * (-1j))
+        assert not hermite_biehler(P2, Q2 * (-1j), strict=True)
 
     def test_equal_phase_raises(self):
         assert abs(self_inversive_phase(self.P) - 1.0) < 1e-9
@@ -726,6 +759,13 @@ class TestHermiteKakeya:
     def test_proportional_raises(self):
         with pytest.raises(BadParams):
             hermite_kakeya(self.P, self.P * 2.0)
+
+    def test_degree_deficit_and_off_circle_false(self):
+        # all three have phase 1: z has exact degree 1 < 2, and
+        # z^2 - 2.5 z + 1 has its zeros at 2 and 1/2
+        Q = Polynomial([1.0, 0.0, 1.0], 2)
+        assert not hermite_kakeya(Polynomial([0.0, 1.0, 0.0], 2), Q)
+        assert not hermite_kakeya(Polynomial([1.0, -2.5, 1.0], 2), Q)
 
     @staticmethod
     def aligned(p_angles, q_angles):

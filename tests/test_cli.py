@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import polyconv
+from polyconv import cli
 from polyconv.cli import Config, main
+from polyconv.errors import NoConvergence
 from polyconv.poly import Polynomial
 from polyconv.qconv import q_coefficient
 
@@ -74,7 +76,8 @@ class TestBasicCommands:
     def test_inverse_round_trip(self, pjson, capsys, tmp_path):
         assert main(["inverse", pjson]) == 0
         inv = json.loads(capsys.readouterr().out)
-        orig = json.loads(open(pjson).read())
+        with open(pjson) as fh:
+            orig = json.load(fh)
         a = np.array([complex(r, i) for r, i in orig["coeffs"]])
         b = np.array([complex(r, i) for r, i in inv["coeffs"]])
         assert np.allclose(b, np.conj(a[::-1]), atol=1e-15)
@@ -85,6 +88,28 @@ class TestBasicCommands:
 
     def test_missing_file(self):
         assert main(["roots", "/nonexistent/q.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["qcoef", "0", "0", "0.5"],
+        ["qpoly", "0", "0.5"],
+        ["verify", "--theorem", "limacon", "--n", "0", "--trials", "1"],
+        ["domain", "boundary", "--spec", "unit_disk", "--samples", "0"],
+        ["verify", "--theorem", "herglotz", "--trials", "0"],
+        ["verify", "--theorem", "suffridge", "--n", "3", "--lambda", "0.5",
+         "--trials", "-2"],
+    ])
+    def test_bad_input_is_usage_error(self, argv, capsys):
+        # n = 0 used to divide by zero; a count of 0 ran the default or nothing
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and out == ""
+
+    def test_no_convergence_exits_three(self, pjson, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NoConvergence("residual above tolerance")
+        monkeypatch.setattr(cli, "find_roots", fail)
+        assert main(["roots", pjson]) == 3
+        assert capsys.readouterr().err.startswith("error: residual")
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_roots_non_finite_circle_tol_is_usage_error(self, pjson, tol, capsys):
@@ -153,6 +178,15 @@ class TestClassify:
             code = main(["classify", "--class", "D", "--lambda", "0.5",
                          "--method", method, p])
             assert code == 0, method
+
+    def test_upper_endpoint_disk_class(self, tmp_path, capsys):
+        # 0.1 + z^3 at lambda = 2 pi / 3 is a(z^n - b) with |b| < 1; the
+        # verdict used to hold a numpy bool, which json.dumps rejects
+        p = write_poly(tmp_path / "u.json", Polynomial([0.1, 0, 0, 1.0], 3))
+        assert main(["classify", "--class", "D", "--lambda", "2.0943951023931953", p]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["member"] is True and d["method"] == "definition"
+        assert d["margin"] == pytest.approx(0.9)
 
     def test_pre_class(self, tmp_path):
         p = write_poly(tmp_path / "ones.json", Polynomial(np.ones(5), 4))

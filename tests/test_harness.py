@@ -55,6 +55,11 @@ class TestSamplers:
         rng = np.random.default_rng(2)
         with pytest.raises(OutOfRange):
             sample_T(4, 2 * math.pi / 4, strict=True, rng=rng)
+        # and sample_D needs the open interval; the float below the upper
+        # endpoint counts as the endpoint
+        for lam in (2 * math.pi / 4, np.nextafter(2 * math.pi / 4, 0.0), 2.0):
+            with pytest.raises(OutOfRange):
+                sample_D(4, lam, rng)
 
     @pytest.mark.parametrize("strategy", ["scaled", "boundary", "rejection"])
     def test_sample_D_members(self, strategy):
@@ -154,6 +159,11 @@ class TestRunners:
     def test_limacon_trial_passes(self):
         rep = run_limacon_trial(1.0, 0.25, 4, trials=14, seed=0)
         assert rep.ok
+
+    def test_limacon_trial_rejects_gamma_and_n(self):
+        for gamma, n in ((1.0, 4), (0.25, 0)):
+            with pytest.raises(OutOfRange):
+                run_limacon_trial(1.0, gamma, n, trials=1)
 
     def test_limacon_failure_path(self, monkeypatch):
         # every product gets the roots 0 and 5: 5 lies outside the Möbius

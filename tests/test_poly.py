@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyconv.errors import DegreeMismatch, NotSymmetric
+from polyconv.errors import DegreeMismatch, NotSymmetric, OutOfRange
 from polyconv.poly import (
     LambdaParam,
     Polynomial,
@@ -170,3 +170,20 @@ class TestLambdaParam:
             LambdaParam(4, 2.0)  # 2 > 2*pi/4 ~ 1.5708
         assert LambdaParam(4, math.pi / 2).is_upper_endpoint
         assert not LambdaParam(4, 0.3).is_upper_endpoint
+
+    @pytest.mark.parametrize("n, lam", [(0, 0.5), (-1, 0.5), (4, -0.1), (4, 2.0),
+                                        (4, math.nan)])
+    def test_range_errors_are_out_of_range(self, n, lam):
+        # and OutOfRange is a ValueError, which the test above expects
+        with pytest.raises(OutOfRange):
+            LambdaParam(n, lam)
+
+    def test_require_interior(self):
+        upper = math.pi / 2
+        LambdaParam(4, 0.3).require_interior()
+        LambdaParam(4, np.nextafter(upper, 0.0) - 1e-14).require_interior()
+        # the floats just below the upper endpoint are the endpoint
+        for lam in (0.0, upper, np.nextafter(upper, 0.0)):
+            assert LambdaParam(4, lam).is_upper_endpoint == (lam != 0.0)
+            with pytest.raises(OutOfRange):
+                LambdaParam(4, lam).require_interior()

@@ -57,6 +57,11 @@ class TestQCoefficient:
             q_coefficient(4, 5, 0.1)
         with pytest.raises(OutOfRange):
             q_coefficient(4, 1, 2.0)
+        # n = 0 used to divide by zero in 2*pi/n
+        with pytest.raises(OutOfRange):
+            q_coefficient(0, 0, 0.5)
+        with pytest.raises(OutOfRange):
+            q_extremal(0, 0.5)
 
     def test_subnormal_lambda_is_binomial_limit(self):
         # lam / 2 underflows to 0.0 at the smallest subnormal
@@ -197,10 +202,16 @@ class TestConvolutions:
 
     def test_upper_endpoint_rejected(self):
         n = 4
-        lp = LambdaParam(n, 2 * math.pi / n)
+        upper = 2 * math.pi / n
         f = Polynomial([1, 1, 1, 1, 1], n)
-        with pytest.raises(OutOfRange):
-            lambda_convolve(f, f, lp)
+        for lam in (upper, np.nextafter(upper, 0.0)):
+            lp = LambdaParam(n, lam)
+            for op in (lambda: lambda_convolve(f, f, lp), lambda: delta(f, lp),
+                       lambda: pre_lift(f, lp)):
+                with pytest.raises(OutOfRange):
+                    op()
+        # the row itself is defined there: the 1/0 table of the endpoint
+        assert q_extremal(n, upper).coeffs.tolist() == [1, 0, 0, 0, 1]
 
 
 class TestDelta:
