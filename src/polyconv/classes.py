@@ -4,18 +4,20 @@ extensions.
 Naming: T_closed / T_open are the polynomials with unimodular zeros and
 pairwise angular separation >= lambda resp. > lambda; D_closed / D_open are
 the disk extensions defined through the half-plane range of the rotated
-quotient.  Three equivalent decision routes are provided.  The canonical
-route (in_D_third) and the difference-quotient route (in_D_second) run the
-zero-location preamble and then decide by a certified sign test on the
-circle (roots._circle_sign): the third on the rotated quotient itself,
-whose sign changes are the unimodular zeros of the product T of the
-paper; the second on the ends of the pencil of its P - Q split
-(Hermite-Biehler), after root-finding those two ends.  Their margins are
-unitless, in [-1/2, 1/2], and flagged indeterminate where the sign is
-within rounding.  The first route (in_D_first) decides its folds
-F + zeta F^*n for every unimodular zeta at once from F's zeros, by the
-least gap of the argument of the Blaschke product F / F^*n.  eq8_oracle
-is the direct exterior-grid evaluation of the defining inequality.
+quotient.  in_D decides them at every lambda: by the definitions at 0 and
+2 pi / n, by one of four routes in between.  The canonical route
+(in_D_third) and the difference-quotient route (in_D_second, on the split
+F = P - Q with P = (F - F^*n) / 2) run the zero-location preamble and then
+decide by a certified sign test on the circle (roots._circle_sign): the
+third on the rotated quotient itself, whose sign changes are the
+unimodular zeros of the product T of the paper; the second on the ends of
+the pencil of P and Q (Hermite-Biehler), after root-finding those two
+ends.  Their margins are unitless, in [-1/2, 1/2], and flagged
+indeterminate where the sign is within rounding.  The first route
+(in_D_first) decides its folds F + zeta F^*n for every unimodular zeta at
+once from F's zeros, by the least gap of the argument of the Blaschke
+product F / F^*n.  eq8_oracle is the direct exterior-grid evaluation of
+the defining inequality.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     BadParams,
     HypothesisViolated,
     InternalInconsistency,
-    NotOnCircle,
     PhaseCollision,
     PhaseMismatch,
 )
@@ -89,6 +90,15 @@ def _label(base, closed):
     return f"{base}_closed" if closed else f"{base}_open"
 
 
+def _degree_verdict(F, lp, label, method):
+    """The non-member verdict of an F whose exact degree is not n (the zero
+    polynomial's is -inf), else None."""
+    if F.exact_degree != lp.n:
+        return MembershipVerdict(label, False, method, -math.inf,
+                                 {"reason": "exact degree != n"})
+    return None
+
+
 # -- the circle classes ------------------------------------------------------
 
 
@@ -96,9 +106,8 @@ def in_T(p, lp, closed=True):
     """Zeros all on the circle with angular separation >= lambda (closed)
     or > lambda with simple zeros (open)."""
     label = _label("T", closed)
-    if p.is_zero or p.exact_degree != lp.n:
-        return MembershipVerdict(label, False, "definition", -math.inf,
-                                 {"reason": "exact degree != n"})
+    if (bad := _degree_verdict(p, lp, label, "definition")) is not None:
+        return bad
     return _in_T_roots(find_roots(p), lp, closed, label, "definition")
 
 
@@ -130,7 +139,7 @@ def is_lambda_extremal(p, lp):
     at least 5e-9 for lambda down to 0.02 * 2pi/n, where crowded zeros hide
     it from the coefficients.
     """
-    if p.is_zero or p.exact_degree != lp.n:
+    if p.exact_degree != lp.n:
         return False
     n = lp.n
     c = p.coeffs
@@ -168,14 +177,15 @@ def build_char_polys(F, lp, P=None, Q=None):
 
 
 def _route_roots(F, lp, closed, label, method):
-    """Common preamble: degree, outside roots, the on-circle dichotomy.
+    """Common preamble: interior lambda, degree, outside roots, the
+    on-circle dichotomy.
 
     Returns (verdict_or_None, rootset).  A verdict is final; None means all
     zeros are strictly inside and the route-specific test should run.
     """
-    if F.is_zero or F.exact_degree != lp.n:
-        return MembershipVerdict(label, False, method, -math.inf,
-                                 {"reason": "exact degree != n"}), None
+    lp.require_interior()
+    if (bad := _degree_verdict(F, lp, label, method)) is not None:
+        return bad, None
     rs = find_roots(F)
     tags = rs.tags()
     if "OUTSIDE" in tags:
@@ -217,7 +227,6 @@ def in_D_third(F, lp, closed=True):
     where T has a unimodular zero.  A minimum within its rounding bound is
     indeterminate (closed: member, open: non-member).
     """
-    lp.require_interior()
     early, _ = _route_roots(F, lp, closed, _label("D", closed), "THIRD_CHAR")
     if early is not None:
         return early
@@ -350,7 +359,6 @@ def in_D_first(F, lp, closed=True):
     (e_k the rounding of F(z_k)), the margin is indeterminate (closed:
     member, open: non-member).  Witness: the circle point of the least gap.
     """
-    lp.require_interior()
     label = _label("D", closed)
     early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
@@ -375,7 +383,13 @@ def in_D_first(F, lp, closed=True):
 
 
 def in_D_second(P, Q, lp, closed=True):
-    """Difference-quotient route on a P - Q split with distinct phases.
+    """Difference-quotient route on a split F = P - Q of self-inversive P
+    and Q with distinct phases (in_D passes P = (F - F^*n) / 2).
+
+    P and Q need no root find: with X^*n = c_X^2 X, (c_P^2 - c_Q^2) P =
+    F^*n - c_Q^2 F, and once the preamble finds F's zeros strictly inside,
+    |F / F^*n| is below 1 inside the disk and above 1 outside, so all n
+    zeros of P (|a_0| < |a_n|) lie on the circle; likewise Q's.
 
     Every H_theta = cos(theta) A - sin(theta) B, with A = c_P D[P] and
     B = c_Q D[Q] of exact degree n - 1, must have its zeros in the disk
@@ -391,7 +405,6 @@ def in_D_second(P, Q, lp, closed=True):
     some H_theta has a zero on the circle.  A minimum of s within its
     rounding bound is indeterminate (closed: member, open: non-member).
     """
-    lp.require_interior()
     label = _label("D", closed)
     # the pencil cannot tell F from its n-inverse (the split only changes
     # sign), so the zero-location preamble has to run on F itself
@@ -401,9 +414,6 @@ def in_D_second(P, Q, lp, closed=True):
     cP, cQ, same = _phases(P, Q)
     if same:
         raise PhaseCollision("c_P == c_Q: split degenerate for this route")
-    for name, X in (("P", P), ("Q", Q)):
-        if not find_roots(X).all_on_circle():
-            raise NotOnCircle(f"{name} must have all zeros on the unit circle")
     A = cP * delta(P, lp)
     B = cQ * delta(Q, lp)
     # at n = 1 the ends are nonzero constants, without zeros
@@ -438,9 +448,8 @@ def eq8_oracle(F, lp, closed=True):
     """
     lp.require_interior()
     label = _label("D", closed)
-    if F.is_zero or F.exact_degree != lp.n:
-        return MembershipVerdict(label, False, "EQ8_GRID", -math.inf,
-                                 {"reason": "exact degree != n"})
+    if (bad := _degree_verdict(F, lp, label, "EQ8_GRID")) is not None:
+        return bad
     if not closed:
         rs = find_roots(F)
         if rs.all_on_circle():
@@ -474,30 +483,28 @@ def eq8_oracle(F, lp, closed=True):
 
 
 def in_D(F, lp, closed=True, method="third"):
-    """Endpoint-aware dispatcher for the disk classes.
+    """The disk classes at every lambda: the one entry point.
 
-    lambda = 0 and lambda = 2*pi/n use their explicit definitions; interior
-    lambda dispatches to the requested route.
+    lambda = 0 and lambda = 2*pi/n use their explicit definitions, whatever
+    the method; interior lambda dispatches to the requested route, "third",
+    "first", "second" (on the canonical split of F) or "oracle".
     """
-    label = _label("D", closed)
+    if method not in ("third", "first", "second", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
     if lp.lam == 0.0:
         return _in_D_lambda0(F, lp, closed)
     if lp.is_upper_endpoint:
         return _in_D_upper(F, lp, closed)
-    if method == "third":
-        return in_D_third(F, lp, closed)
-    if method == "first":
-        return in_D_first(F, lp, closed)
-    if method == "oracle":
-        return eq8_oracle(F, lp, closed)
-    raise ValueError(f"unknown method {method!r} (second needs an explicit split)")
+    if method == "second":
+        Fi = F.n_inverse()
+        return in_D_second((F - Fi) * 0.5, (F + Fi) * (-0.5), lp, closed)
+    return {"third": in_D_third, "first": in_D_first, "oracle": eq8_oracle}[method](F, lp, closed)
 
 
 def _in_D_lambda0(F, lp, closed):
     label = _label("D", closed)
-    if F.is_zero or F.exact_degree != lp.n:
-        return MembershipVerdict(label, False, "definition", -math.inf,
-                                 {"reason": "exact degree != n"})
+    if (bad := _degree_verdict(F, lp, label, "definition")) is not None:
+        return bad
     rs = find_roots(F)
     if closed:
         member = rs.all_in_closed_disk()

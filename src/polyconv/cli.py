@@ -144,7 +144,9 @@ def _build_parser():
                     help="test the open class (default closed)")
     cl.add_argument("--lambda", dest="lam", type=float, required=True)
     cl.add_argument("--method", choices=["first", "second", "third", "oracle"],
-                    default="third")
+                    default="third",
+                    help="route for D and PD at an interior lambda (second: on the split "
+                         "P = (F - F^*n)/2); both endpoints are decided by definition")
     cl.add_argument("poly")
 
     d = sub.add_parser("domain", help="domain membership and boundary data")
@@ -196,15 +198,10 @@ def _cmd_classify(args, cfg):
     if args.cls == "T":
         v = classes.in_T(p, lp, closed)
     elif args.cls == "D":
-        if args.method == "second":
-            pi = p.n_inverse()
-            v = classes.in_D_second((p - pi) * 0.5, (p + pi) * (-0.5), lp, closed)
-        else:
-            v = classes.in_D(p, lp, closed, method=args.method)
+        v = classes.in_D(p, lp, closed, method=args.method)
     else:
         which = f"{args.cls}_{'closed' if closed else 'open'}"
-        v = classes.pre_class_test(p, lp, which, method=args.method
-                                   if args.method != "second" else "third")
+        v = classes.pre_class_test(p, lp, which, method=args.method)
     _emit(args, json.dumps(v.as_dict(), indent=2))
     return 0 if v.member else 1
 

@@ -19,7 +19,7 @@ import numpy as np
 from .classes import (
     _third_sign,
     extremal_family,
-    in_D_third,
+    in_D,
     in_T,
     is_lambda_extremal,
     pre_class_test,
@@ -294,13 +294,7 @@ def run_main_trial(n, lam, trials, seed=0, mu=None):
                         strategy=("scaled", "rejection")[rng.integers(0, 2)]
                         if lam > 0 else None)
         H = lambda_convolve(F, G, lp)
-        if lam == 0.0:
-            rs = find_roots(H) if not H.is_zero else None
-            margin = min(1.0 - abs(z) for z, _ in rs.roots) if rs else math.inf
-            _judge(rep, margin,
-                   lambda: _wit("convolution root left the disk", F, G, H, trial=t))
-            continue
-        v = in_D_third(H, lp, closed=False)
+        v = in_D(H, lp, closed=False)
         _judge(rep, v.margin,
                lambda: _wit("convolution left open disk class", F, G, H, trial=t),
                v.indeterminate)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from polyconv.errors import NotOnCircle, PhaseCollision, PositivityLost
+from polyconv.errors import PositivityLost
 from polyconv.poly import LambdaParam, Polynomial
 from polyconv.qconv import (
     grace_szego,
@@ -23,8 +23,8 @@ from polyconv.classes import (
     eq8_oracle,
     extremal_family,
     half_plane_criterion,
+    in_D,
     in_D_first,
-    in_D_second,
     in_D_third,
     in_T,
     pre_class_test,
@@ -190,13 +190,7 @@ def test_criterion_5_route_agreement():
                 2j * np.pi * rng.uniform(size=n))
             F = Polynomial.from_roots(roots)
         verdicts = [in_D_third(F, lp, True), in_D_first(F, lp, True),
-                    eq8_oracle(F, lp, True)]
-        try:
-            Fi = F.n_inverse()
-            verdicts.append(
-                in_D_second((F - Fi) * 0.5, (F + Fi) * (-0.5), lp, True))
-        except (NotOnCircle, PhaseCollision):
-            pass  # split unavailable for this instance
+                    eq8_oracle(F, lp, True), in_D(F, lp, True, "second")]
         if any(v.indeterminate or abs(v.margin) <= 1e-6 for v in verdicts):
             continue
         decided += 1

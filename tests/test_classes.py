@@ -5,6 +5,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -345,6 +346,29 @@ class TestSecondRouteAgainstPencilScan:
         assert decided[True] >= 10 and decided[False] >= 10, decided
         assert by_sign >= 10
 
+    def test_in_D_runs_it_on_the_canonical_split(self):
+        for lp, F in self.instances():
+            for closed in (True, False):
+                assert (in_D(F, lp, closed, "second").as_dict()
+                        == in_D_second(*split(F), lp, closed).as_dict())
+
+
+def test_second_route_halves_need_no_root_find(crowded_split):
+    # find_roots merges three of Q's unimodular zeros into one triple zero
+    # inside the circle, which the route took for NotOnCircle.  Once F's
+    # zeros are strictly inside, P's and Q's are on the circle (in_D_second)
+    F, lp, P, Q = crowded_split
+    for closed in (True, False):
+        v = in_D_second(P, Q, lp, closed)
+        assert not v.indeterminate and v.margin < -1e-6, v
+        assert v.member == in_D_third(F, lp, closed).member
+    with mpmath.workdps(60):
+        for X in (P, Q):
+            zs = mpmath.polyroots([mpmath.mpc(c.real, c.imag) for c in X.coeffs[::-1]],
+                                  maxsteps=400, extraprec=200)
+            assert len(zs) == lp.n
+            assert max(abs(abs(z) - 1) for z in zs) < mpmath.mpf(10) ** -50
+
 
 class TestBoundaryFamilyOpenClass:
     # P - Q_n of the boundary family lies in the closed class only; at these
@@ -684,6 +708,13 @@ class TestEndpoints:
         lp = LambdaParam(n, TP / n)
         good = Polynomial([-0.5, 0, 0, 0, 2.0], n)
         assert not in_D(good, lp, False).member
+
+    def test_unknown_method_rejected_at_every_lambda(self):
+        # the endpoints used to return their verdict whatever the method
+        F = Polynomial.from_roots([0.2, 0.3])
+        for lam in (0.0, 1.0, TP / 2):
+            with pytest.raises(ValueError, match="unknown method"):
+                in_D(F, LambdaParam(2, lam), True, "fourth")
 
 
 class TestCharPolys:

@@ -17,6 +17,9 @@ from polyconv.poly import Polynomial
 from polyconv.qconv import q_coefficient
 
 
+METHODS = ("first", "second", "third", "oracle")
+
+
 def write_poly(path, p):
     path.write_text(p.to_json())
     return str(path)
@@ -171,28 +174,44 @@ class TestClassify:
     def test_non_member_exit_one(self, pjson):
         assert main(["classify", "--class", "T", "--lambda", "0.5", pjson]) == 1
 
-    def test_disk_routes_consistent(self, tmp_path):
+    def test_disk_routes_consistent(self, tmp_path, capsys):
+        # every route at an interior lambda; at either end every --method
+        # gives the definition's verdict (second used to exit 2 there)
         roots = 0.8 * np.exp(1j * np.array([0.0, 1.5, 3.0, 4.6]))
         p = write_poly(tmp_path / "d.json", Polynomial.from_roots(roots))
-        for method in ("first", "second", "third", "oracle"):
-            code = main(["classify", "--class", "D", "--lambda", "0.5",
-                         "--method", method, p])
-            assert code == 0, method
+        for lam, code in (("0.5", 0), ("0", 0), (repr(math.pi / 2), 1)):
+            out = []
+            for method in METHODS:
+                assert main(["classify", "--class", "D", "--lambda", lam,
+                             "--method", method, p]) == code, (lam, method)
+                out.append(json.loads(capsys.readouterr().out))
+            if lam != "0.5":
+                assert all(d == out[0] for d in out) and out[0]["method"] == "definition"
 
     def test_upper_endpoint_disk_class(self, tmp_path, capsys):
         # 0.1 + z^3 at lambda = 2 pi / 3 is a(z^n - b) with |b| < 1; the
         # verdict used to hold a numpy bool, which json.dumps rejects
         p = write_poly(tmp_path / "u.json", Polynomial([0.1, 0, 0, 1.0], 3))
-        assert main(["classify", "--class", "D", "--lambda", "2.0943951023931953", p]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["member"] is True and d["method"] == "definition"
-        assert d["margin"] == pytest.approx(0.9)
+        for method in METHODS:
+            assert main(["classify", "--class", "D", "--lambda", "2.0943951023931953",
+                         "--method", method, p]) == 0, method
+            d = json.loads(capsys.readouterr().out)
+            assert d["member"] is True and d["method"] == "definition"
+            assert d["margin"] == pytest.approx(0.9)
 
-    def test_pre_class(self, tmp_path):
+    def test_pre_class(self, tmp_path, capsys):
         p = write_poly(tmp_path / "ones.json", Polynomial(np.ones(5), 4))
         assert main(["classify", "--class", "PT", "--lambda", "0.5", p]) == 0
         assert main(["classify", "--class", "PT", "--open",
                      "--lambda", "0.5", p]) == 1
+        # the lift of 1.2^k is Q_5(0.6; 1.2 z), zeros inside the circle;
+        # --method second used to run the third route here
+        p = write_poly(tmp_path / "geo.json", Polynomial(1.2 ** np.arange(6), 5))
+        capsys.readouterr()
+        assert main(["classify", "--class", "PD", "--lambda", "0.6",
+                     "--method", "second", p]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["class"] == "PD_closed" and d["method"] == "SECOND_CHAR"
 
 
 class TestDomain:
@@ -218,6 +237,10 @@ class TestDomain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 33
+
+    def test_no_action_usage_error(self, capsys):
+        assert main(["domain"]) == 2
+        assert "domain needs an action" in capsys.readouterr().err
 
     def test_bad_spec(self):
         assert main(["domain", "contains", "--spec", "pentagon",
@@ -258,6 +281,12 @@ class TestVerify:
                      "--lambda", "0.5", "--trials", "6"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert reports[0]["failures"] == 0
+
+    def test_whole_grid(self, capsys):
+        # neither --n nor --lambda: lambda = 0 and seven interior values per n
+        assert main(["verify", "--theorem", "suffridge", "--trials", "1",
+                     "--n-max", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 8
 
     @pytest.mark.parametrize("theorem", ["suffridge", "main", "gausslucas"])
     @pytest.mark.parametrize("given,missing", [(["--n", "3"], "--lambda"),

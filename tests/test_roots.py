@@ -208,6 +208,15 @@ class TestAgainstOracle:
     def test_reflected_pairs_inside_cluster_radius(self, r):
         self.reflected_pairs(r)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "three distinct unimodular zeros of Q, 1.0e-3 and 3.2e-3 apart in angle, "
+        "come out as one triple zero 1.2e-5 inside the circle"))
+    def test_crowded_unimodular_zeros_stay_simple(self, crowded_split):
+        # the second route's split half Q, whose zeros mpmath puts on the
+        # circle to 60 digits (tests/test_classes.py)
+        rs = find_roots(crowded_split[3])
+        assert rs.all_on_circle() and all(m == 1 for _, m in rs.roots)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_boundary_family_unimodular_zeros_are_even(self, n):
         # below about 0.32 * 2 pi / n, T's double zeros come out split off
