@@ -38,8 +38,8 @@ from .errors import (
 )
 from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
-from .roots import (CIRCLE_TOL, NEWTON_STEPS, _circle_sign, arg_separation, find_roots,
-                    interspersed)
+from .roots import (CIRCLE_TOL, NEWTON_STEPS, _circle_sign, _inclusion_radii, arg_separation,
+                    find_roots, interspersed)
 
 SEP_TOL = 1e-8
 #: is_lambda_extremal's relative fit of the coefficients, and of |b| to 1
@@ -354,9 +354,8 @@ def in_D_first(F, lp, closed=True):
     (Garcia, Mashreghi & Ross 2018).  So the margin, min over theta of the
     gap, phi(theta + gap) = phi(theta) + 2 pi, minus lambda, is in_T's over
     all folds, which _least_gap finds.  Within the rounding of phi plus the
-    a-posteriori radii of F's zeros,
-    r_k = (n (|F(z_k)| + e_k) / |a_n prod_{j != k} (z_k - z_j)^{m_j}|)^{1/m_k}
-    (e_k the rounding of F(z_k)), the margin is indeterminate (closed:
+    inclusion radii of F's zeros (roots._inclusion_radii, the radii that
+    decide find_roots' multiplicities), the margin is indeterminate (closed:
     member, open: non-member).  Witness: the circle point of the least gap.
     """
     label = _label("D", closed)
@@ -370,12 +369,9 @@ def in_D_first(F, lp, closed=True):
     z, m = map(np.array, zip(*rs.roots))
     w = m * (1.0 - np.abs(z) ** 2)
     at = _least_gap(functools.partial(_blaschke_arg, n, z, m, w), n, z, tol)
-    c, zk = F.coeffs[: n + 1], np.power.outer(z, np.arange(n + 1))
-    dz = np.abs(np.subtract.outer(z, z)) + np.eye(z.size)
+    r = _inclusion_radii(F.coeffs[: n + 1], z, m)
     v = np.abs(1.0 - np.multiply.outer(np.exp(-1j * at), z))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = (n * (np.abs(zk @ c) + 4.0 * n * eps * (np.abs(zk) @ np.abs(c)))
-             / (abs(c[n]) * np.prod(dz ** m, axis=1))) ** (1.0 / m)
         err = ((m * (r + 4.0 * eps)) @ (2.0 / v).sum(axis=0) + tol) / (w @ v[1] ** -2)
     margin = float(at[1] - at[0]) - lp.lam
     return _margin_verdict(label, closed, "FIRST_CHAR", margin, not abs(margin) > float(err),

@@ -209,6 +209,9 @@ def _cmd_classify(args, cfg):
 def _cmd_verify(args, cfg):
     if args.trials < 1:
         raise BadParams(f"--trials must be >= 1, got {args.trials}")
+    if not 0.0 <= args.max_indeterminate_fraction <= 1.0:
+        raise BadParams("--max-indeterminate-fraction must be in [0, 1], "
+                        f"got {args.max_indeterminate_fraction}")
     seed = cfg.rng_seed
     if args.theorem == "limacon":
         re, im = (float(x) for x in args.tau.split(","))
@@ -311,8 +314,12 @@ def main(argv=None):
         if args.command == "classify":
             return _cmd_classify(args, cfg)
         if args.command == "domain":
+            if args.action in ("contains", "roots") and not 0.0 <= args.tol < math.inf:
+                raise BadParams(f"--tol must be finite and >= 0, got {args.tol}")
             if args.action == "contains":
                 re, im = (float(x) for x in args.point.split(","))
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise BadParams(f"--point must be finite, got {args.point}")
                 spec = _parse_domain_spec(args.spec)
                 _emit(args, domains.contains(spec, complex(re, im), args.tol))
                 return 0

@@ -7,6 +7,7 @@ boundary polyline emitter exists only for plotting.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,8 +62,8 @@ class DomainSpec:
         if k in {UNIT_DISK_OPEN, UNIT_DISK_CLOSED, UNIT_CIRCLE}:
             return
         if k in _OMEGA_KINDS:
-            if self.tau == 0:
-                raise BadParams("tau must be nonzero")
+            if self.tau == 0 or not cmath.isfinite(self.tau):
+                raise BadParams(f"tau must be finite and nonzero, got {self.tau}")
             if not 0.0 <= self.gamma <= 1.0:
                 raise OutOfRange(f"gamma={self.gamma} outside [0, 1]")
             return

@@ -379,12 +379,11 @@ def run_limacon_trial(tau, gamma, n, trials, seed=0):
         if conv.is_zero:
             rep.skip()
             continue
-        bad = [complex(z) for z, _ in find_roots(conv).roots if contains(target, z) != IN]
-        if bad:
-            rep.record(-1.0, _wit(tag, P, Q, trial=t,
-                                  offending_root=[bad[-1].real, bad[-1].imag]))
-        else:
+        ok, bad = root_set_in(conv, target)
+        if ok:
             rep.record(1.0)
+        else:
+            rep.record(-1.0, _wit(tag, P, Q, trial=t, offending_root=[bad.real, bad.imag]))
     return rep
 
 

@@ -1,8 +1,9 @@
 """Root finding and unit-circle classification.
 
 Eigenvalues of the companion matrix (Edelman & Murakami 1995), a short
-Newton polish, and geometric clustering for multiplicities confirmed by a
-derivative test.  Deterministic given its options.  `_circle_sign`
+Newton polish, and multiplicities decided by overlapping inclusion disks
+(Neumaier 2003), whose radii `_inclusion_radii` computes for the first
+route too.  Deterministic given its options.  `_circle_sign`
 certifies the sign of Im(A conj B) on the circle, which decides where a
 pencil of polynomials takes zeros on the circle without root finding: it
 samples on a node grid in numpy, then refines each node minimum by scalar
@@ -20,10 +21,6 @@ import numpy as np
 from .errors import NoConvergence, NotOnCircle
 
 CIRCLE_TOL = 1e-7
-#: m-fold clusters are sought within 3 * CLUSTER_TOL**(1/m)
-CLUSTER_TOL = 1e-8
-#: relative size of p and its derivatives that _is_multiple reads as zero
-MULTIPLE_REL_TOL = 1e-7
 #: argument distance at which interspersed() reads two zeros as shared
 ANG_TOL = 1e-9
 #: most Newton steps per refinement loop (here and in the first route);
@@ -108,9 +105,25 @@ def _components(adj):
     return [np.flatnonzero(labels == lab) for lab in np.unique(labels)]
 
 
-def _refine_multiple(derivs, z, m, radius):
-    """Newton on the (m-1)-th derivative, where an m-fold root is simple."""
-    g = derivs[m - 1]
+def _inclusion_radii(c, z, m):
+    """A-posteriori inclusion radii of the approximate zeros z, with
+    multiplicities m (an array, or 1 for all), of the polynomial of
+    ascending coefficients c (Neumaier 2003):
+    r_k = (d (|p(z_k)| + e_k) / |c_d prod_{j != k} (z_k - z_j)^{m_j}|)^{1/m_k},
+    e_k = 4 d eps sum_j |c_j| |z_k|^j the rounding of p(z_k).  A connected
+    group of disks of total multiplicity k holds exactly k zeros of p.  A
+    radius is inf or NaN where two points coincide."""
+    d, eps = c.size - 1, np.finfo(float).eps
+    zk = np.power.outer(z, np.arange(d + 1))
+    dz = np.abs(np.subtract.outer(z, z)) + np.eye(z.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (d * (np.abs(zk @ c) + 4.0 * d * eps * (np.abs(zk) @ np.abs(c)))
+                / (abs(c[d]) * np.prod(dz ** m, axis=1))) ** (1.0 / m)
+
+
+def _refine_multiple(g, z, radius):
+    """Newton on g, the (m-1)-th derivative of p, where an m-fold root is
+    simple; z itself unless the iterate stays within radius of it."""
     dg = np.polyder(g)
     z0 = z
     for _ in range(20):
@@ -126,76 +139,47 @@ def _refine_multiple(derivs, z, m, radius):
     return z0 if abs(z0 - z) < radius else z
 
 
-def _is_multiple(derivs, z0, m):
-    """Do p and its first m-1 derivatives all vanish at z0 (relatively)?
+def _cluster(c, rev, eig, points):
+    """Roots with multiplicities from the polished points.
 
-    Discriminates a genuine m-fold root (derivative values at rounding
-    level) from a tight group of distinct roots (values of order spacing).
+    c are the ascending coefficients (nonzero constant term), rev the
+    descending monic ones, and eig the eigenvalues the points were polished
+    from.  Two points are one root when their inclusion disks (m = 1)
+    overlap both at the eigenvalues and at the polished points, in the plane
+    that _companion_roots solved in (1/z and the reversed coefficients when
+    it flipped).  A connected group of m points is an m-fold root at the
+    eigenvalues' centroid, refined by Newton on the (m-1)-th derivative
+    within the eigenvalues' spread about it; every other point is simple.
     """
-    for j in range(m):
-        c = derivs[j]
-        norm = float(np.max(np.abs(c)))
-        if norm == 0.0:
-            continue
-        size = norm * max(1.0, abs(z0)) ** (c.size - 1)
-        if abs(np.polyval(c, z0)) > MULTIPLE_REL_TOL * size:
-            return False
-    return True
-
-
-def _cluster(points, rev):
-    """Group approximate roots into multiple roots, highest multiplicity
-    first, accepting a group only when the derivative test confirms it.
-
-    An m-fold root computed in floating point scatters into m points with
-    spread of order eps**(1/m); the candidate radius grows accordingly with
-    the hypothesized multiplicity, and false merges of genuinely distinct
-    roots are rejected by _is_multiple.
-    """
-    dist = np.abs(points[:, None] - points[None, :])
-    np.fill_diagonal(dist, np.inf)
-    # nearest-neighbour distances over all points, sorted: a component of m
-    # points needs m points with a neighbour inside the radius, and live only
-    # shrinks, so fewer than m such points rule multiplicity m out
-    near = np.sort(dist.min(axis=1, initial=np.inf))
-    live = np.arange(points.size)
-    derivs = None
-    found = []
-    for m in range(points.size, 1, -1):
-        radius = 3.0 * CLUSTER_TOL ** (1.0 / m)
-        linked = int(np.searchsorted(near, radius))
-        # the radius shrinks with m (and live only shrinks): no later m links
-        if not linked:
-            break
-        if linked < m:
-            continue
-        adj = dist[np.ix_(live, live)] < radius
+    flip = abs(c[0]) > abs(c[-1])
+    cs = c[::-1] if flip else c
+    adj = ~np.eye(points.size, dtype=bool)
+    for x in (eig, points):
+        w = 1.0 / x if flip else x
+        r = _inclusion_radii(cs, w, 1)
+        # a NaN radius (coincident points) reads as an overlap
+        adj &= ~(np.abs(np.subtract.outer(w, w)) > np.add.outer(r, r))
         if not adj.any():
-            break
-        merged = []
-        for g in _components(adj):
-            if g.size != m:
-                continue
-            if derivs is None:
-                derivs = [np.asarray(rev)]
-                for _ in range(points.size):
-                    derivs.append(np.polyder(derivs[-1]))
-            centroid = complex(np.mean(points[live[g]]))
-            z0 = _refine_multiple(derivs, centroid, m, radius)
-            if _is_multiple(derivs, z0, m):
-                found.append((z0, m))
-                merged.extend(live[g])
-        live = np.setdiff1d(live, merged)
-    found.extend((complex(points[i]), 1) for i in live)
+            return [(complex(z), 1) for z in points]
+    found = []
+    for g in _components(adj):
+        if g.size == 1:
+            found.append((complex(points[g[0]]), 1))
+            continue
+        centroid = complex(np.mean(eig[g]))
+        spread = float(np.max(np.abs(eig[g] - centroid)))
+        found.append((_refine_multiple(np.polyder(rev, g.size - 1), centroid, spread), g.size))
     return found
 
 
 def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
     """All roots of p with multiplicities, classified against the unit circle.
 
-    Raises ValueError on a non-finite coefficient, and NoConvergence when
-    the normalized residual at the simple roots is above sqrt(tol) after
-    the eigensolve and polish.
+    Distinct zeros come out simple once their inclusion disks separate at
+    the eigenvalues or at the polished points; zeros whose disks overlap
+    at both form one multiple root (see _cluster).  Raises ValueError on a
+    non-finite coefficient, and NoConvergence when the normalized residual
+    at the simple roots is above sqrt(tol) after the eigensolve and polish.
     """
     bad = np.flatnonzero(~np.isfinite(p.coeffs))
     if bad.size:
@@ -212,7 +196,8 @@ def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
         k0 += 1
     zero_mult = k0
     c = c[k0:]
-    approx = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
+    eig = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
+    approx = eig
 
     # Newton polish (helps simple roots; harmless on clusters).  p and p'
     # come from one Horner pass, the steps of np.polyval (y = y * z + c from
@@ -234,7 +219,7 @@ def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
         step = np.where(np.abs(step) < 0.1, step, 0.0)
         approx = approx - step
 
-    found = _cluster(approx, rev)
+    found = _cluster(c, rev, eig, approx)
     if zero_mult:
         found.append((0.0 + 0.0j, zero_mult))
 

@@ -100,9 +100,24 @@ class TestBasicCommands:
         ["verify", "--theorem", "herglotz", "--trials", "0"],
         ["verify", "--theorem", "suffridge", "--n", "3", "--lambda", "0.5",
          "--trials", "-2"],
+        ["domain", "boundary", "--spec", "omega:nan,0,0.5"],
+        ["domain", "boundary", "--spec", "omega:inf,0,0.5"],
+        ["domain", "contains", "--spec", "unit_disk", "--point", "nan,0"],
+        ["domain", "contains", "--spec", "unit_disk", "--point", "0,-inf"],
+        ["domain", "contains", "--spec", "unit_disk", "--point", "0,0", "--tol", "nan"],
+        ["domain", "contains", "--spec", "unit_disk", "--point", "0,0", "--tol=-1e-9"],
+        ["domain", "contains", "--spec", "unit_disk", "--point", "0,0", "--tol", "inf"],
+        ["verify", "--theorem", "herglotz", "--trials", "1",
+         "--max-indeterminate-fraction", "nan"],
+        ["verify", "--theorem", "herglotz", "--trials", "1",
+         "--max-indeterminate-fraction", "1.5"],
+        ["verify", "--theorem", "herglotz", "--trials", "1",
+         "--max-indeterminate-fraction=-0.1"],
     ])
     def test_bad_input_is_usage_error(self, argv, capsys):
-        # n = 0 used to divide by zero; a count of 0 ran the default or nothing
+        # n = 0 used to divide by zero; a count of 0 ran the default or
+        # nothing; a non-finite tau, point or tol printed NaN rows or a
+        # verdict, and a NaN indeterminate fraction turned its gate off
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error:") and out == ""
@@ -230,6 +245,7 @@ class TestDomain:
                             Polynomial.from_roots([0.2, -0.5j]))
         assert main(["domain", "roots", "--spec", "unit_disk", inside]) == 0
         assert main(["domain", "roots", "--spec", "unit_disk", pjson]) == 1
+        assert main(["domain", "roots", "--spec", "unit_disk", "--tol", "nan", inside]) == 2
 
     def test_boundary_csv(self, capsys):
         assert main(["domain", "boundary", "--spec", "omega:0,2,0.4",

@@ -180,6 +180,12 @@ class TestSpecGuards:
         with pytest.raises(BadParams):
             DomainSpec("OMEGA", tau=0.0, gamma=0.5)
 
+    @pytest.mark.parametrize("tau", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                     complex(1.0, -math.inf)])
+    def test_omega_needs_finite_tau(self, tau):
+        with pytest.raises(BadParams):
+            DomainSpec("OMEGA_CLOSED", tau=tau, gamma=0.5)
+
     def test_complement_needs_inner(self):
         with pytest.raises(BadParams):
             DomainSpec("COMPLEMENT")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from polyconv import harness
+from polyconv import domains, harness
 from polyconv.errors import OutOfRange, SamplerExhausted
 from polyconv.poly import LambdaParam
 from polyconv.roots import RootSet
@@ -169,8 +169,8 @@ class TestRunners:
         # every product gets the roots 0 and 5: 5 lies outside the Möbius
         # disk and the inner limaçon, 0 outside the disk's complement and
         # the outer limaçon, so each positive arm sees a root outside its
-        # region
-        monkeypatch.setattr(harness, "find_roots",
+        # region (the arms read the roots through domains.root_set_in)
+        monkeypatch.setattr(domains, "find_roots",
                             lambda p: RootSet(((0j, 1), (5 + 0j, 1)), 0.0))
         rep = run_limacon_trial(1.0, 0.25, 4, trials=6, seed=0)
         assert rep.trials == 6 and rep.failures == 6

@@ -1,4 +1,4 @@
-"""Root finder, multiplicity clustering, circle tags, interspersion."""
+"""Root finder, inclusion-disk multiplicities, circle tags, interspersion."""
 
 import cmath
 import math
@@ -7,19 +7,21 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import stress_draw
 from polyconv.classes import build_char_polys, extremal_family
 from polyconv.errors import NoConvergence, NotOnCircle
+from polyconv.harness import run_gauss_lucas_trial
 from polyconv.poly import LambdaParam, Polynomial
 from polyconv.qconv import q_extremal
 from polyconv.roots import (
-    CLUSTER_TOL,
+    CIRCLE_TOL,
     NEWTON_STEPS,
     ON,
     RootSet,
     _circle_sign,
     _companion_roots,
     _components,
-    _is_multiple,
+    _inclusion_radii,
     _refine_multiple,
     arg_separation,
     find_roots,
@@ -104,16 +106,16 @@ class TestFindRoots:
             find_roots(Polynomial([complex(0.0, math.inf), 1.0, 1.0], 2))
 
 
-def link_reference(points, radius):
-    """Single-linkage groups by pairwise loops: the reference for _components."""
-    groups = [[i] for i in range(len(points))]
+def link_reference(size, linked):
+    """Single-linkage groups of range(size) under the pair predicate linked,
+    by pairwise loops: the reference for _components."""
+    groups = [[i] for i in range(size)]
     merged = True
     while merged:
         merged = False
         for a in range(len(groups)):
             for b in range(a + 1, len(groups)):
-                if any(abs(points[i] - points[j]) < radius
-                       for i in groups[a] for j in groups[b]):
+                if any(linked(i, j) for i in groups[a] for j in groups[b]):
                     groups[a] += groups.pop(b)
                     merged = True
                     break
@@ -131,7 +133,7 @@ def test_components_match_single_linkage():
         adj = np.abs(pts[:, None] - pts[None, :]) < radius
         np.fill_diagonal(adj, False)
         got = sorted(sorted(int(i) for i in g) for g in _components(adj))
-        assert got == link_reference(pts, radius)
+        assert got == link_reference(k, lambda i, j: abs(pts[i] - pts[j]) < radius)
 
 
 def expanded(rs):
@@ -200,22 +202,20 @@ class TestAgainstOracle:
     def test_reflected_pairs_stay_simple(self, r):
         self.reflected_pairs(r)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a pair 2e-4 apart lies inside the m = 2 clustering radius "
-        "3 * sqrt(CLUSTER_TOL) = 3e-4, and _is_multiple's relative test "
-        "(MULTIPLE_REL_TOL = 1e-7) accepts it as one double zero tagged ON"))
     @pytest.mark.parametrize("r", [1.0 - 1e-4, 1.0 + 1e-4])
     def test_reflected_pairs_inside_cluster_radius(self, r):
         self.reflected_pairs(r)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "three distinct unimodular zeros of Q, 1.0e-3 and 3.2e-3 apart in angle, "
-        "come out as one triple zero 1.2e-5 inside the circle"))
     def test_crowded_unimodular_zeros_stay_simple(self, crowded_split):
-        # the second route's split half Q, whose zeros mpmath puts on the
-        # circle to 60 digits (tests/test_classes.py)
-        rs = find_roots(crowded_split[3])
-        assert rs.all_on_circle() and all(m == 1 for _, m in rs.roots)
+        # second-route split halves, whose zeros mpmath puts on the circle to
+        # 60 digits (tests/test_classes.py): three of Q's in draw 1036, 1.0e-3
+        # and 3.2e-3 apart in angle, once came out as a triple zero 1.2e-5
+        # inside; P's and Q's in draw 3129 as triple zeros; four of Q's in
+        # draw 3782 as a 4-fold zero 1.3e-3 inside
+        _, _, P, Q = stress_draw(3129)
+        for half in (crowded_split[3], P, Q, stress_draw(3782)[3]):
+            rs = find_roots(half)
+            assert rs.all_on_circle() and all(m == 1 for _, m in rs.roots)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_boundary_family_unimodular_zeros_are_even(self, n):
@@ -230,10 +230,127 @@ class TestAgainstOracle:
             assert sum(on) == 2 * (n - 1)
 
 
+#: an n = 8 convolution of a main-theorem trial (perfbench `trials` input,
+#: seed 1): eight simple zeros, which a radius-ladder multiplicity rule read
+#: as a 5-fold zero at |z| = 0.0236 beside three simple ones
+MAIN_TRIAL_CONVOLUTION = [
+    -3.5809311879713587e-09 + 8.313322018694459e-08j,
+    1.775249274320201e-07 - 1.31839440059988e-06j,
+    -8.316355647635714e-06 + 8.74205365990948e-06j,
+    4.226418770786768e-05 + 1.5010907131320075e-05j,
+    -1.630591058922451e-05 - 6.197109597475766e-05j,
+    0.000638583505618231 + 0.0013989909080835215j,
+    -0.023905064377695528 + 0.002074183888236283j,
+    0.02084361679363053 - 0.46861600740084497j,
+    6.075673497372658 + 8.242168505550595j,
+]
+
+#: the lambda = 0 difference-operator image of the first draw of
+#: run_gauss_lucas_trial(8, 0.0, 3, 1764631490): a 5-fold and a simple
+#: unimodular zero, and a simple zero at |z| = 0.911, 0.09 from the circle
+GAUSS_LUCAS_IMAGE = [
+    0.8791864984291833 - 0.2398346100579126j,
+    3.1147862120703147 - 5.0818759050749795j,
+    -3.340903677882298 - 16.835771422611494j,
+    -22.74958806735303 - 16.69733591453489j,
+    -28.438278861587015 + 3.1001716439623106j,
+    -11.742947245618264 + 13.485154531557702j,
+    0.24342972943998709 + 6.374537582265316j,
+    0.7222920929201546 + 0.6915881234557333j,
+]
+
+
+def mp_zeros(c, dps=60):
+    """The zeros of the ascending coefficients c, by mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        want = mpmath.polyroots([mpmath.mpc(z.real, z.imag) for z in np.asarray(c)[::-1]],
+                                maxsteps=500, extraprec=4 * dps)
+        return [complex(w) for w in want]
+
+
+def clustered_coeffs(rng, d):
+    """A degree-d polynomial whose zeros come in clusters of up to four,
+    10^-7 to 10^-2 across, some of them exact repeats."""
+    zeros = []
+    while len(zeros) < d:
+        centre = rng.uniform(0.2, 1.8) * np.exp(2j * np.pi * rng.uniform())
+        k = min(d - len(zeros), int(rng.integers(1, 5)))
+        spread = 10 ** rng.uniform(-7, -2) * (rng.random() < 0.8)
+        zeros += list(centre + spread * np.exp(2j * np.pi * rng.uniform(size=k)))
+    return Polynomial.from_roots(zeros, leading=0.7 - 0.2j).coeffs
+
+
+class TestInclusionDisks:
+    """Multiplicities decided by overlapping inclusion disks."""
+
+    def test_disk_groups_hold_their_count_of_zeros(self):
+        # Neumaier's theorem: a connected group of k overlapping disks about
+        # the eigenvalues holds exactly k zeros.  At the zeros of the
+        # Chebyshev polynomial T_d, p(z_k) cancels to rounding level, and the
+        # disks of T_9 and T_11 miss zeros without the rounding term e_k
+        rng = np.random.default_rng(2003)
+        for d in range(2, 17):
+            cheb = np.polynomial.chebyshev.cheb2poly([0] * d + [1]).astype(complex)
+            for c in (rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1),
+                      clustered_coeffs(rng, d), clustered_coeffs(rng, d), cheb):
+                z = _companion_roots(c)
+                r = _inclusion_radii(c, z, np.ones(d))
+                assert np.all(np.isfinite(r))
+                overlap = ~(np.abs(np.subtract.outer(z, z)) > np.add.outer(r, r))
+                np.fill_diagonal(overlap, False)
+                want = mp_zeros(c)
+                held = 0
+                for g in _components(overlap):
+                    inside = sum(bool(np.any(np.abs(w - z[g]) <= r[g])) for w in want)
+                    assert inside == g.size
+                    held += inside
+                assert held == d
+
+    def test_main_trial_convolution_zeros_stay_simple(self):
+        rs = find_roots(Polynomial(MAIN_TRIAL_CONVOLUTION))
+        assert [m for _, m in rs.roots] == [1] * 8
+        pairs = match(expanded(rs), mp_zeros(MAIN_TRIAL_CONVOLUTION))
+        assert max(abs(g - w) for g, w in pairs) < 1e-12
+
+    def test_close_zeros_need_the_polished_disks(self):
+        # stress draw 3998: two zeros of F 3.1e-4 apart, whose disks overlap
+        # at the raw eigenvalues and not at the polished points
+        rs = find_roots(stress_draw(3998)[0])
+        assert [m for _, m in rs.roots] == [1] * 15
+
+    def test_distant_zero_needs_the_eigenvalue_disks(self):
+        # at the polished points alone the disks of all seven zeros overlap,
+        # and one 7-fold zero at |z| = 0.911 would hide the unimodular ones
+        rs = find_roots(Polynomial(GAUSS_LUCAS_IMAGE))
+        assert sorted(m for _, m in rs.roots) == [1, 1, 5]
+        assert sorted(rs.tags()) == ["INSIDE", ON, ON]
+        assert run_gauss_lucas_trial(8, 0.0, 3, 1764631490).worst_margin == CIRCLE_TOL
+
+    def test_multiple_zero_centre_is_refined(self):
+        # stress draw 2954: P's two zeros 9e-5 apart on the circle overlap
+        # as one double zero; the centroid of its two eigenvalues lies
+        # 1.16e-7 outside the circle, Newton on P' brings it within 1e-8
+        rs = find_roots(stress_draw(2954)[2])
+        assert sorted(m for _, m in rs.roots) == [1] * 12 + [2]
+        assert rs.all_on_circle()
+        double = next(z for z, m in rs.roots if m == 2)
+        assert abs(abs(double) - 1.0) < 1e-8
+
+
+def reference_radius(c, w, k):
+    """The inclusion radius (m = 1) of w[k] as a zero of the polynomial of
+    ascending coefficients c, by loops: the reference for _inclusion_radii."""
+    d = len(c) - 1
+    val = sum(c[j] * w[k] ** j for j in range(d + 1))
+    err = 4.0 * d * np.finfo(float).eps * sum(abs(c[j]) * abs(w[k]) ** j for j in range(d + 1))
+    den = abs(c[d]) * math.prod(abs(w[k] - w[j]) for j in range(len(w)) if j != k)
+    return d * (abs(val) + err) / den if den > 0.0 else math.inf
+
+
 def reference_find_roots(p):
-    """find_roots with the polish by two np.polyval calls, linkage tried at
-    every multiplicity, and np.angle in the sort key: the reference that
-    find_roots must match bit for bit."""
+    """find_roots with the polish by two np.polyval calls, the disk overlaps
+    and their groups by pairwise loops, and np.angle in the sort key: the
+    reference that find_roots must match bit for bit."""
     d = p.exact_degree
     c = np.array(p.coeffs[: d + 1])
     scale = float(np.max(np.abs(c)))
@@ -241,7 +358,8 @@ def reference_find_roots(p):
     while abs(c[k0]) == 0.0:
         k0 += 1
     c = c[k0:]
-    approx = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
+    eig = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
+    approx = eig
     rev = c[::-1] / c[-1]
     drev = (c[1:] * np.arange(1, c.size))[::-1] / c[-1]
     for _ in range(3):
@@ -250,30 +368,25 @@ def reference_find_roots(p):
         step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)
         step = np.where(np.abs(step) < 0.1, step, 0.0)
         approx = approx - step
-    dist = np.abs(approx[:, None] - approx[None, :])
-    live = np.arange(approx.size)
-    derivs = None
+    # the disks of the plane that _companion_roots solved in
+    flip = abs(c[0]) > abs(c[-1])
+    cs = c[::-1] if flip else c
+    disks = []
+    for x in (eig, approx):
+        w = [1.0 / z if flip else z for z in x]
+        disks.append((w, [reference_radius(cs, w, k) for k in range(len(w))]))
+
+    def overlap(i, j):
+        return all(not abs(w[i] - w[j]) > r[i] + r[j] for w, r in disks)
+
     found = []
-    for m in range(approx.size, 1, -1):
-        radius = 3.0 * CLUSTER_TOL ** (1.0 / m)
-        adj = dist[np.ix_(live, live)] < radius
-        np.fill_diagonal(adj, False)
-        if not adj.any():
-            break
-        merged = []
-        for g in _components(adj):
-            if g.size != m:
-                continue
-            if derivs is None:
-                derivs = [np.asarray(rev)]
-                for _ in range(approx.size):
-                    derivs.append(np.polyder(derivs[-1]))
-            z0 = _refine_multiple(derivs, complex(np.mean(approx[live[g]])), m, radius)
-            if _is_multiple(derivs, z0, m):
-                found.append((z0, m))
-                merged.extend(live[g])
-        live = np.setdiff1d(live, merged)
-    found.extend((complex(approx[i]), 1) for i in live)
+    for g in link_reference(approx.size, overlap):
+        if len(g) == 1:
+            found.append((complex(approx[g[0]]), 1))
+            continue
+        centroid = complex(np.mean(eig[g]))
+        spread = max(abs(eig[i] - centroid) for i in g)
+        found.append((_refine_multiple(np.polyder(rev, len(g) - 1), centroid, spread), len(g)))
     if k0:
         found.append((0.0 + 0.0j, k0))
     simple = [z for z, m in found if m == 1]
