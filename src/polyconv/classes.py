@@ -38,8 +38,8 @@ from .errors import (
 )
 from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
-from .roots import (CIRCLE_TOL, NEWTON_STEPS, _circle_sign, _inclusion_radii, arg_separation,
-                    find_roots, interspersed)
+from .roots import (CIRCLE_TOL, INSIDE, NEWTON_STEPS, ON, OUTSIDE, _circle_sign, _inclusion_radii,
+                    arg_separation, find_roots, interspersed)
 
 SEP_TOL = 1e-8
 #: is_lambda_extremal's relative fit of the coefficients, and of |b| to 1
@@ -112,11 +112,11 @@ def in_T(p, lp, closed=True):
 
 
 def _in_T_roots(rs, lp, closed, label, method):
-    """in_T on the roots rs of a polynomial of exact degree n."""
-    for (z, m), t in zip(rs.roots, rs.tags()):
-        if t != "ON":
-            return MembershipVerdict(label, False, method,
-                                     -abs(abs(z) - 1.0), {"offending_root": complex(z)})
+    """in_T on the roots rs of exact degree n; off the circle the farthest zero decides."""
+    if not rs.all_on_circle():
+        z = max((z for z, _ in rs.roots), key=lambda z: abs(abs(z) - 1.0))
+        return MembershipVerdict(label, False, method,
+                                 -abs(abs(z) - 1.0), {"offending_root": complex(z)})
     sep = arg_separation(rs)
     margin = sep - lp.lam
     if closed:
@@ -177,26 +177,24 @@ def build_char_polys(F, lp, P=None, Q=None):
 
 
 def _route_roots(F, lp, closed, label, method):
-    """Common preamble: interior lambda, degree, outside roots, the
-    on-circle dichotomy.
-
-    Returns (verdict_or_None, rootset).  A verdict is final; None means all
-    zeros are strictly inside and the route-specific test should run.
-    """
-    lp.require_interior()
+    """Common preamble: degree, then the tags of F's zeros.  A zero outside
+    decides non-member by the outermost zero, margin 1 - |z|; zeros all on
+    the circle go to in_T (method/routed_T); zeros on and inside the circle
+    are a non-member at margin 0.  Returns (verdict_or_None, rootset); None
+    means all zeros are strictly inside and the route's own test runs."""
     if (bad := _degree_verdict(F, lp, label, method)) is not None:
         return bad, None
     rs = find_roots(F)
     tags = rs.tags()
-    if "OUTSIDE" in tags:
-        z = rs.roots[tags.index("OUTSIDE")][0]
-        return MembershipVerdict(label, False, method, -(abs(z) - 1.0),
+    if OUTSIDE in tags:
+        z = rs.outermost()
+        return MembershipVerdict(label, False, method, 1.0 - abs(z),
                                  {"offending_root": complex(z)}), rs
-    if all(t == "ON" for t in tags):
+    if INSIDE not in tags:
         return _in_T_roots(rs, lp, closed, label, method + "/routed_T"), rs
-    if "ON" in tags:
+    if ON in tags:
         # mixed zero locations can never satisfy the defining inequality
-        z = rs.roots[tags.index("ON")][0]
+        z = rs.roots[tags.index(ON)][0]
         return MembershipVerdict(label, False, method, 0.0,
                                  {"mixed_root_on_circle": complex(z)}), rs
     return None, rs
@@ -227,6 +225,7 @@ def in_D_third(F, lp, closed=True):
     where T has a unimodular zero.  A minimum within its rounding bound is
     indeterminate (closed: member, open: non-member).
     """
+    lp.require_interior()
     early, _ = _route_roots(F, lp, closed, _label("D", closed), "THIRD_CHAR")
     if early is not None:
         return early
@@ -358,6 +357,7 @@ def in_D_first(F, lp, closed=True):
     decide find_roots' multiplicities), the margin is indeterminate (closed:
     member, open: non-member).  Witness: the circle point of the least gap.
     """
+    lp.require_interior()
     label = _label("D", closed)
     early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
@@ -389,8 +389,8 @@ def in_D_second(P, Q, lp, closed=True):
 
     Every H_theta = cos(theta) A - sin(theta) B, with A = c_P D[P] and
     B = c_Q D[Q] of exact degree n - 1, must have its zeros in the disk
-    (open: strictly; closed: within circle_tol).  A and B themselves are
-    root-found; a zero outside decides non-member, with margin 1 - |z|.
+    (open: all tagged INSIDE; closed: none OUTSIDE).  A and B are root-found;
+    if not, the outermost zero decides non-member, with margin 1 - |z|.
     Once they are in the disk, H_theta vanishes at z on the circle exactly
     when A(z)/B(z) = tan(theta), so by the minimum principle for Im(A/B)
     outside the disk (the disk form of Hermite-Biehler) the pencil is in
@@ -401,6 +401,7 @@ def in_D_second(P, Q, lp, closed=True):
     some H_theta has a zero on the circle.  A minimum of s within its
     rounding bound is indeterminate (closed: member, open: non-member).
     """
+    lp.require_interior()
     label = _label("D", closed)
     # the pencil cannot tell F from its n-inverse (the split only changes
     # sign), so the zero-location preamble has to run on F itself
@@ -414,10 +415,10 @@ def in_D_second(P, Q, lp, closed=True):
     B = cQ * delta(Q, lp)
     # at n = 1 the ends are nonzero constants, without zeros
     for theta, H in ((0.0, A), (math.pi / 2.0, B)) if lp.n > 1 else ():
-        z = max((z for z, _ in find_roots(H).roots), key=abs)
-        m = 1.0 - abs(z)
-        if not (m >= -CIRCLE_TOL if closed else m > CIRCLE_TOL):
-            return MembershipVerdict(label, False, "SECOND_CHAR", m,
+        rs = find_roots(H)
+        if not (rs.all_in_closed_disk() if closed else rs.all_inside()):
+            z = rs.outermost()
+            return MembershipVerdict(label, False, "SECOND_CHAR", 1.0 - abs(z),
                                      {"theta": theta, "offending_root": complex(z)})
     return _margin_verdict(label, closed, "SECOND_CHAR", *_circle_sign(A.coeffs, B.coeffs))
 
@@ -498,20 +499,21 @@ def in_D(F, lp, closed=True, method="third"):
 
 
 def _in_D_lambda0(F, lp, closed):
+    """The disk classes at lambda = 0 by definition and the outermost zero;
+    the open class through the routes' preamble, _route_roots."""
     label = _label("D", closed)
+    if not closed:
+        early, rs = _route_roots(F, lp, False, label, "definition")
+        if early is not None:
+            return early
+        return MembershipVerdict(label, True, "definition", 1.0 - abs(rs.outermost()))
     if (bad := _degree_verdict(F, lp, label, "definition")) is not None:
         return bad
     rs = find_roots(F)
-    if closed:
-        member = rs.all_in_closed_disk()
-        margin = min(1.0 + CIRCLE_TOL - abs(z) for z, _ in rs.roots)
-        wit = {} if member else {
-            "offending_root": complex(max((z for z, _ in rs.roots), key=abs))}
-        return MembershipVerdict(label, member, "definition", margin, wit)
-    if rs.all_inside():
-        margin = min(1.0 - abs(z) for z, _ in rs.roots)
-        return MembershipVerdict(label, True, "definition", margin)
-    return _in_T_roots(rs, lp, False, label, "definition")
+    z = rs.outermost()
+    member = rs.all_in_closed_disk()
+    return MembershipVerdict(label, member, "definition", 1.0 + CIRCLE_TOL - abs(z),
+                             {} if member else {"offending_root": complex(z)})
 
 
 def _in_D_upper(F, lp, closed):
@@ -519,12 +521,11 @@ def _in_D_upper(F, lp, closed):
     if not closed:
         return MembershipVerdict(label, False, "definition", -math.inf,
                                  {"reason": "open class empty at the endpoint"})
+    if (bad := _degree_verdict(F, lp, label, "definition")) is not None:
+        return bad
     c = F.coeffs
     n = lp.n
     scale = F.norm()
-    if scale == 0.0 or abs(c[n]) <= 1e-12 * scale:
-        return MembershipVerdict(label, False, "definition", -math.inf,
-                                 {"reason": "exact degree != n"})
     mid = float(np.max(np.abs(c[1:n]))) if n > 1 else 0.0
     b = complex(-c[0] / c[n])
     member = mid <= 1e-10 * scale and abs(b) <= 1.0 + CIRCLE_TOL
@@ -569,16 +570,11 @@ def _one_sided(F, strict):
     Ft = trimmed(F)
     if Ft.is_zero:
         return False
-    rs = find_roots(Ft)
-    radii = [abs(z) for z, _ in rs.roots]
+    tags = set(find_roots(Ft).tags())
     deficit = F.nominal_degree - Ft.exact_degree  # zeros at infinity
     if strict:
-        inside = all(r < 1.0 - CIRCLE_TOL for r in radii) and deficit == 0
-        outside = all(r > 1.0 + CIRCLE_TOL for r in radii)
-        return inside or outside
-    inside = all(r <= 1.0 + CIRCLE_TOL for r in radii) and deficit == 0
-    outside = all(r >= 1.0 - CIRCLE_TOL for r in radii)
-    return inside or outside
+        return (tags == {INSIDE} and deficit == 0) or tags == {OUTSIDE}
+    return (OUTSIDE not in tags and deficit == 0) or INSIDE not in tags
 
 
 def hermite_kakeya(P, Q, strict=False):

@@ -323,8 +323,7 @@ def _main_part_two(n, lam, mu, rng, rep, t):
 def run_limacon_trial(tau, gamma, n, trials, seed=0):
     """Binomial-weighted convolution against the Möbius-disk and limaçon
     zero domains: six positive arms plus the planted-root falsification arm."""
-    if not 0.0 <= gamma < 1.0:
-        raise OutOfRange(f"gamma={gamma} outside [0, 1)")
+    # the regions built below (omega, limacon_inner) reject gamma outside [0, 1)
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     tau = complex(tau)
@@ -469,8 +468,7 @@ def _escape_distance(img):
     img = trimmed(img)
     if img.is_zero or img.exact_degree < 1:
         return -math.inf
-    rs = find_roots(img)
-    return max(abs(z) for z, _ in rs.roots) - 1.0
+    return abs(find_roots(img).outermost()) - 1.0
 
 
 def run_herglotz_trial(trials, seed=0):

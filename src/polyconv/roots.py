@@ -34,7 +34,7 @@ OUTSIDE = "OUTSIDE"
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots with multiplicities plus circle classification tags."""
+    """Roots with multiplicities, and the one owner of their circle tags."""
 
     roots: tuple  # of (location: complex, multiplicity: int)
     residual: float
@@ -60,6 +60,10 @@ class RootSet:
 
     def all_in_closed_disk(self):
         return all(t != OUTSIDE for t in self.tags())
+
+    def outermost(self):
+        """The zero of largest modulus, the first of equal ones."""
+        return max((z for z, _ in self.roots), key=abs)
 
     def to_csv(self):
         lines = []
@@ -123,16 +127,17 @@ def _inclusion_radii(c, z, m):
 
 def _refine_multiple(g, z, radius):
     """Newton on g, the (m-1)-th derivative of p, where an m-fold root is
-    simple; z itself unless the iterate stays within radius of it."""
+    simple, while the steps shrink; z unless the iterate stays within radius."""
     dg = np.polyder(g)
-    z0 = z
+    z0, last = z, math.inf
     for _ in range(20):
         dgv = np.polyval(dg, z0)
         if abs(dgv) < 1e-300:
             break
         step = np.polyval(g, z0) / dgv
-        if abs(step) > 0.1:
+        if abs(step) > 0.1 or abs(step) >= last:
             break
+        last = abs(step)
         z0 = z0 - step
         if abs(step) < 1e-15 * max(1.0, abs(z0)):
             break

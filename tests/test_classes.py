@@ -77,6 +77,13 @@ class TestInT:
         v = in_T(Polynomial([1, 1, 0, 0], 3), lp)
         assert not v.member
 
+    def test_off_circle_blames_the_farthest_zero(self):
+        # 0.5 is the first zero off the circle in sort order; 3 is farthest
+        v = in_T(Polynomial.from_roots([0.5, 1.1, 3.0]), LambdaParam(3, 0.5))
+        assert not v.member
+        assert v.witnesses["offending_root"] == pytest.approx(3.0)
+        assert v.margin == pytest.approx(-2.0)
+
     def test_margin_is_separation_gap(self):
         lp = LambdaParam(3, 0.5)
         p = cpoly([0.0, 0.8, 2.0])
@@ -200,6 +207,16 @@ class TestDiskRoutes:
             assert not v.member
             assert v.method.startswith("SECOND_CHAR")
         assert "mixed_root_on_circle" in v.witnesses
+
+    def test_outside_zero_blames_the_outermost(self):
+        # 1 + 5e-7 is tagged OUTSIDE and sorts first, but 1.5i decides
+        F = Polynomial.from_roots([1.0 + 5e-7, 1.5j, 0.2])
+        lp = LambdaParam(3, 0.5)
+        for method in ("third", "first", "second"):
+            v = in_D(F, lp, False, method)
+            assert not v.member and not v.indeterminate, method
+            assert v.witnesses["offending_root"] == pytest.approx(1.5j), method
+            assert v.margin == pytest.approx(-0.5), method
 
     def test_degree_deficit_rejected(self):
         # exact degree 2 at nominal degree 5, on every route and at both
@@ -685,8 +702,28 @@ class TestEndpoints:
     def test_lambda_zero_open_admits_strict_circle_polys(self):
         lp = LambdaParam(3, 0.0)
         assert in_D(Polynomial.from_roots([0.2, 0.5j, -0.1]), lp, False).member
-        assert in_D(cpoly([0.0, 2.0, 4.0]), lp, False).member
+        v = in_D(cpoly([0.0, 2.0, 4.0]), lp, False)
+        assert v.member and v.method == "definition/routed_T"
         assert not in_D(cpoly([0.0, 0.0, 4.0]), lp, False).member
+
+    def test_lambda_zero_open_blames_the_outermost(self):
+        v = in_D(Polynomial.from_roots([0.5, 2.0, 0.3j]), LambdaParam(3, 0.0), False)
+        assert not v.member
+        assert v.witnesses["offending_root"] == pytest.approx(2.0)
+        assert v.margin == pytest.approx(-1.0)
+
+    def test_lambda_zero_open_rejects_mixed_zeros(self):
+        v = in_D(Polynomial.from_roots([0.5, 1j, -1j]), LambdaParam(3, 0.0), False)
+        assert not v.member and v.margin == 0.0
+        assert "mixed_root_on_circle" in v.witnesses
+
+    def test_upper_endpoint_small_leading_coefficient(self):
+        # exact degree 4 although |c_4| is 1e-14 of the norm: b = 5e13
+        # is far outside the disk, a finite non-member margin
+        lp = LambdaParam(4, TP / 4)
+        v = in_D(Polynomial([-0.5, 0, 0, 0, 1e-14], 4), lp, True)
+        assert not v.member and math.isfinite(v.margin) and v.margin < 0
+        assert v.witnesses["b"] == pytest.approx(5e13)
 
     def test_upper_endpoint_closed(self):
         n = 4

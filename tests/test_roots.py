@@ -1,12 +1,15 @@
 """Root finder, inclusion-disk multiplicities, circle tags, interspersion."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import polyconv
 from conftest import stress_draw
 from polyconv.classes import build_char_polys, extremal_family
 from polyconv.errors import NoConvergence, NotOnCircle
@@ -638,6 +641,22 @@ class TestTags:
         rs = RootSet(((1.0 + 0.0j, 2),), 0.0)
         line = rs.to_csv()
         assert line == "1,0,2,ON"
+
+    def test_outermost_is_the_first_of_largest_modulus(self):
+        rs = RootSet(((0.5 + 0.0j, 1), (2.0j, 1), (-2.0 + 0.0j, 2), (1.0 + 0.0j, 1)), 0.0)
+        assert rs.outermost() == 2.0j
+
+    def test_only_roots_spells_the_tags(self):
+        # every other module reads INSIDE / ON / OUTSIDE from roots
+        tags = {"INSIDE", "ON", "OUTSIDE"}
+        found = []
+        for path in sorted(Path(polyconv.__file__).parent.glob("*.py")):
+            if path.name == "roots.py":
+                continue
+            found += [f"{path.name}:{node.lineno} {node.value!r}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Constant) and node.value in tags]
+        assert found == []
 
 
 class TestArgSeparation:
