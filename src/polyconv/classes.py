@@ -11,9 +11,12 @@ F = P - Q with P = (F - F^*n) / 2) run the zero-location preamble and then
 decide by a certified sign test on the circle (roots._circle_sign): the
 third on the rotated quotient itself, whose sign changes are the
 unimodular zeros of the product T of the paper; the second on the ends of
-the pencil of P and Q (Hermite-Biehler), after root-finding those two
-ends.  Their margins are unitless, in [-1/2, 1/2], and flagged
-indeterminate where the sign is within rounding.  The first route
+the pencil of P and Q (Hermite-Biehler), once those two ends have their
+zeros in the disk.  Both use zeros strictly inside only as a fact, which
+the Schur-Cohn recursion (roots.all_zeros_within) certifies without a
+root find; F and the ends are root-found only when it cannot.  Their
+margins are unitless, in [-1/2, 1/2], and flagged indeterminate where the
+sign is within rounding.  The first route
 (in_D_first) decides its folds F + zeta F^*n for every unimodular zeta at
 once from F's zeros, by the least gap of the argument of the Blaschke
 product F / F^*n.  eq8_oracle is the direct exterior-grid evaluation of
@@ -39,9 +42,13 @@ from .errors import (
 from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
 from .roots import (CIRCLE_TOL, INSIDE, NEWTON_STEPS, ON, OUTSIDE, _circle_sign, _inclusion_radii,
-                    arg_separation, find_roots, interspersed)
+                    all_zeros_within, arg_separation, find_roots, interspersed)
 
 SEP_TOL = 1e-8
+#: the radius at which all_zeros_within certifies zeros that find_roots
+#: would tag INSIDE: 2 CIRCLE_TOL below the circle, so that a zero tagged
+#: ON or OUTSIDE passes only if find_roots misplaces it by over CIRCLE_TOL
+INSIDE_RADIUS = 1.0 - 2.0 * CIRCLE_TOL
 #: is_lambda_extremal's relative fit of the coefficients, and of |b| to 1
 EXTREMAL_TOL = 1e-10
 #: the exterior grid of eq8_oracle: angles and geometric radii out to 8
@@ -177,13 +184,19 @@ def build_char_polys(F, lp, P=None, Q=None):
 
 
 def _route_roots(F, lp, closed, label, method):
-    """Common preamble: degree, then the tags of F's zeros.  A zero outside
-    decides non-member by the outermost zero, margin 1 - |z|; zeros all on
-    the circle go to in_T (method/routed_T); zeros on and inside the circle
-    are a non-member at margin 0.  Returns (verdict_or_None, rootset); None
-    means all zeros are strictly inside and the route's own test runs."""
+    """Common preamble: degree, then where F's zeros lie.  Zeros that
+    all_zeros_within certifies below INSIDE_RADIUS return (None, None)
+    without a root find.  Otherwise F is root-found: a zero outside decides
+    non-member by the outermost zero, margin 1 - |z|; zeros all on the
+    circle go to in_T (method/routed_T); zeros on and inside the circle are
+    a non-member at margin 0.  Returns (verdict_or_None, rootset_or_None);
+    a None verdict means all zeros are strictly inside and the route's own
+    test runs, and a route that reads the zeros finds them itself when the
+    certificate left the root set None."""
     if (bad := _degree_verdict(F, lp, label, method)) is not None:
         return bad, None
+    if all_zeros_within(F, INSIDE_RADIUS):
+        return None, None
     rs = find_roots(F)
     tags = rs.tags()
     if OUTSIDE in tags:
@@ -362,6 +375,8 @@ def in_D_first(F, lp, closed=True):
     early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
         return early
+    if rs is None:
+        rs = find_roots(F)
     n, eps = lp.n, np.finfo(float).eps
     if n == 1:  # one zero per fold, which in_T separates by 2 pi
         return _margin_verdict(label, closed, "FIRST_CHAR", 2.0 * math.pi - lp.lam, False, 1j)
@@ -389,8 +404,11 @@ def in_D_second(P, Q, lp, closed=True):
 
     Every H_theta = cos(theta) A - sin(theta) B, with A = c_P D[P] and
     B = c_Q D[Q] of exact degree n - 1, must have its zeros in the disk
-    (open: all tagged INSIDE; closed: none OUTSIDE).  A and B are root-found;
-    if not, the outermost zero decides non-member, with margin 1 - |z|.
+    (open: all tagged INSIDE; closed: none OUTSIDE).  A and B are root-found
+    only when roots.all_zeros_within does not certify them inside
+    (open: below INSIDE_RADIUS; closed: below 1, a full CIRCLE_TOL short of
+    the OUTSIDE tag); a zero out of the disk decides non-member by the
+    outermost zero, with margin 1 - |z|.
     Once they are in the disk, H_theta vanishes at z on the circle exactly
     when A(z)/B(z) = tan(theta), so by the minimum principle for Im(A/B)
     outside the disk (the disk form of Hermite-Biehler) the pencil is in
@@ -415,6 +433,8 @@ def in_D_second(P, Q, lp, closed=True):
     B = cQ * delta(Q, lp)
     # at n = 1 the ends are nonzero constants, without zeros
     for theta, H in ((0.0, A), (math.pi / 2.0, B)) if lp.n > 1 else ():
+        if all_zeros_within(H, 1.0 if closed else INSIDE_RADIUS):
+            continue
         rs = find_roots(H)
         if not (rs.all_in_closed_disk() if closed else rs.all_inside()):
             z = rs.outermost()
@@ -506,6 +526,8 @@ def _in_D_lambda0(F, lp, closed):
         early, rs = _route_roots(F, lp, False, label, "definition")
         if early is not None:
             return early
+        if rs is None:
+            rs = find_roots(F)
         return MembershipVerdict(label, True, "definition", 1.0 - abs(rs.outermost()))
     if (bad := _degree_verdict(F, lp, label, "definition")) is not None:
         return bad
@@ -566,14 +588,17 @@ def hermite_biehler(P, Q, strict=False):
 
 
 def _one_sided(F, strict):
-    """F or its n-inverse has all zeros in the (closed/open) unit disk."""
+    """F or its n-inverse has all zeros in the (closed/open) unit disk.
+
+    Zeros at infinity (the deficit of F's exact degree) count as outside;
+    a nonzero constant F has all of them there, and no finite ones."""
     Ft = trimmed(F)
     if Ft.is_zero:
         return False
-    tags = set(find_roots(Ft).tags())
+    tags = set(find_roots(Ft).tags()) if Ft.exact_degree >= 1 else set()
     deficit = F.nominal_degree - Ft.exact_degree  # zeros at infinity
     if strict:
-        return (tags == {INSIDE} and deficit == 0) or tags == {OUTSIDE}
+        return (tags == {INSIDE} and deficit == 0) or tags <= {OUTSIDE}
     return (OUTSIDE not in tags and deficit == 0) or INSIDE not in tags
 
 

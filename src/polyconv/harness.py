@@ -436,11 +436,12 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
         mode = t % 3
         if mode == 0:  # closed circle-class members: image in closed disk
             F = sample_T(n, lam, strict=False, rng=rng)
-            dist = _escape_distance(delta(F, lp))
-            # boundary-landing roots are a clean pass for the closed target
-            if dist <= CIRCLE_TOL:
-                rep.record(max(-dist, CIRCLE_TOL))
-            elif dist <= MARGIN_TOL:
+            rs = _image_roots(delta(F, lp))
+            if rs is None or rs.all_in_closed_disk():
+                # boundary-landing roots are a clean pass for the closed target
+                rep.record(math.inf if rs is None
+                           else max(1.0 - abs(rs.outermost()), CIRCLE_TOL))
+            elif (dist := abs(rs.outermost()) - 1.0) <= MARGIN_TOL:
                 rep.skip()
             else:
                 rep.record(-dist, _wit("closed image escaped", F, trial=t))
@@ -463,12 +464,18 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
     return rep
 
 
-def _escape_distance(img):
-    """max |root| - 1 of the trimmed image; -inf when no roots remain."""
+def _image_roots(img):
+    """The roots of the trimmed image; None when no roots remain."""
     img = trimmed(img)
     if img.is_zero or img.exact_degree < 1:
-        return -math.inf
-    return abs(find_roots(img).outermost()) - 1.0
+        return None
+    return find_roots(img)
+
+
+def _escape_distance(img):
+    """max |root| - 1 of the trimmed image; -inf when no roots remain."""
+    rs = _image_roots(img)
+    return -math.inf if rs is None else abs(rs.outermost()) - 1.0
 
 
 def run_herglotz_trial(trials, seed=0):

@@ -3,7 +3,10 @@
 Eigenvalues of the companion matrix (Edelman & Murakami 1995), a short
 Newton polish, and multiplicities decided by overlapping inclusion disks
 (Neumaier 2003), whose radii `_inclusion_radii` computes for the first
-route too.  Deterministic given its options.  `_circle_sign`
+route too.  Deterministic given its options.  `all_zeros_within`
+certifies "every zero inside a radius" without root finding, by the
+Schur-Cohn recursion with a running rounding bound; the routes use it
+before find_roots wherever they need that fact alone.  `_circle_sign`
 certifies the sign of Im(A conj B) on the circle, which decides where a
 pencil of polynomials takes zeros on the circle without root finding: it
 samples on a node grid in numpy, then refines each node minimum by scalar
@@ -12,6 +15,7 @@ Newton steps that stop once a step cannot beat the rounding of the sign.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -26,6 +30,10 @@ ANG_TOL = 1e-9
 #: most Newton steps per refinement loop (here and in the first route);
 #: bisection of one node spacing either side converges well within them
 NEWTON_STEPS = 60
+
+#: all_zeros_within declines below this coefficient scale, where scaling
+#: by a power of two would overflow
+TINY = 2.0 ** -900
 
 INSIDE = "INSIDE"
 ON = "ON"
@@ -70,6 +78,72 @@ class RootSet:
         for (z, m), t in zip(self.roots, self.tags()):
             lines.append(f"{z.real:.17g},{z.imag:.17g},{m},{t}")
         return "\n".join(lines)
+
+
+def all_zeros_within(p, r):
+    """True when the Schur-Cohn recursion certifies that every zero of p
+    (exact degree >= 1) has modulus < r; False means "not certified".
+
+    The recursion (Schur 1917, Cohn 1922) runs on a_k = c_k r^k, in plain
+    Python complex arithmetic: with a_0 and a_m the end coefficients of p_m,
+    p_{m-1} = (conj(a_m) p_m - a_0 p_m^*) / z, p_m^* = z^m conj(p_m(1/conj z)).
+    When |a_0| < |a_m|, p_m has every zero in the open unit disk exactly
+    when p_{m-1} has; when |a_0| >= |a_m| the product of its zeros has
+    modulus >= 1.  Each coefficient carries a bound e_k on its distance
+    from the exact recursion on the exact c_k r^k.  It starts at
+    (k + 2)(u |a_k| + v), u = 2^-53 and v = 2^-1074 the least subnormal,
+    for the rounding of r^k and of the product, and each step bounds the
+    new coefficient conj(a_m) a_{i+1} - a_0 conj(a_{m-1-i}) by
+        |a_m| e_{i+1} + e_m |a_{i+1}| + e_m e_{i+1}
+        + |a_0| e_{m-1-i} + e_0 |a_{m-1-i}| + e_0 e_{m-1-i}
+        + 8 u (|a_m| |a_{i+1}| + |a_0| |a_{m-1-i}|) + 16 v,
+    the last two terms for the rounding and underflow of the complex
+    products and their difference (3.3 u suffices for the rounding), the
+    whole raised by 32 u for its own rounding.  Each step is scaled by a
+    power of two, which rounds nothing.  The answer is True only when
+    |a_0| + e_0 < |a_m| - e_m at every step, the two moduli widened by 4 u
+    for their rounding and the test's; any other outcome (a step within
+    its bound, a non-finite coefficient, a constant p) is False.
+
+    So a True answer places every zero of p strictly below r.  Called with
+    r = 1 - 2 CIRCLE_TOL, find_roots could tag a zero ON or OUTSIDE only by
+    misplacing it by more than CIRCLE_TOL; called with r = 1, tag one
+    OUTSIDE only by misplacing it by more than CIRCLE_TOL past the circle.
+    """
+    d = p.exact_degree
+    if d < 1:
+        return False
+    c = p.coeffs[: d + 1].tolist()
+    big = max(map(abs, c))
+    if not (all(map(cmath.isfinite, c)) and big > TINY):
+        return False
+    u, v = 2.0 ** -53, 2.0 ** -1074
+    grow = 1.0 + 32.0 * u
+    s, pw, a, e = 2.0 ** -math.frexp(big)[1], 1.0, [], []
+    for k, ck in enumerate(c):
+        ak = ck * s * pw
+        a.append(ak)
+        e.append((k + 2) * (u * abs(ak) + v))
+        pw *= r
+    for m in range(d, 0, -1):
+        a0, am, e0, em = a[0], a[m], e[0], e[m]
+        r0, rm = abs(a0), abs(am)
+        if not r0 * (1.0 + 4.0 * u) + e0 < rm * (1.0 - 4.0 * u) - em:
+            return False
+        if m == 1:
+            return True
+        cm, b, f = am.conjugate(), [], []
+        for i in range(m):
+            x, y, ex, ey = a[i + 1], a[m - 1 - i].conjugate(), e[i + 1], e[m - 1 - i]
+            rx, ry = abs(x), abs(y)
+            b.append(cm * x - a0 * y)
+            f.append((rm * ex + em * rx + em * ex + r0 * ey + e0 * ry + e0 * ey
+                      + 8.0 * u * (rm * rx + r0 * ry) + 16.0 * v) * grow)
+        big = max(map(abs, b))
+        if not TINY < big < math.inf:
+            return False
+        s = 2.0 ** -math.frexp(big)[1]
+        a, e = [x * s for x in b], [x * s for x in f]
 
 
 def _companion_roots(c):
@@ -117,9 +191,20 @@ def _inclusion_radii(c, z, m):
     e_k = 4 d eps sum_j |c_j| |z_k|^j the rounding of p(z_k).  A connected
     group of disks of total multiplicity k holds exactly k zeros of p.  A
     radius is inf or NaN where two points coincide."""
+    return _radii(c, z, m, _distances(z))
+
+
+def _distances(z):
+    """|z_i - z_j|, with ones on the diagonal."""
+    dz = np.abs(np.subtract.outer(z, z))
+    np.fill_diagonal(dz, 1.0)
+    return dz
+
+
+def _radii(c, z, m, dz):
+    """_inclusion_radii from the distances dz = _distances(z)."""
     d, eps = c.size - 1, np.finfo(float).eps
     zk = np.power.outer(z, np.arange(d + 1))
-    dz = np.abs(np.subtract.outer(z, z)) + np.eye(z.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return (d * (np.abs(zk @ c) + 4.0 * d * eps * (np.abs(zk) @ np.abs(c)))
                 / (abs(c[d]) * np.prod(dz ** m, axis=1))) ** (1.0 / m)
@@ -161,9 +246,10 @@ def _cluster(c, rev, eig, points):
     adj = ~np.eye(points.size, dtype=bool)
     for x in (eig, points):
         w = 1.0 / x if flip else x
-        r = _inclusion_radii(cs, w, 1)
+        dz = _distances(w)
+        r = _radii(cs, w, 1, dz)
         # a NaN radius (coincident points) reads as an overlap
-        adj &= ~(np.abs(np.subtract.outer(w, w)) > np.add.outer(r, r))
+        adj &= ~(dz > np.add.outer(r, r))
         if not adj.any():
             return [(complex(z), 1) for z in points]
     found = []

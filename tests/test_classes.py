@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import stress_draw
 from polyconv.errors import (
     BadParams,
     HypothesisViolated,
@@ -175,9 +176,11 @@ class TestDiskRoutes:
     def non_member(self):
         return Polynomial.from_roots([2.0, 0.5j, -0.3, 1.5j, 0.9])
 
-    def on_and_inside(self):
-        # one zero on the circle, the others inside: no zero outside
-        return Polynomial.from_roots([np.exp(0.4j), 0.5j, -0.3, 0.4, 0.2 + 0.1j])
+    def on_and_inside(self, r=1.0):
+        # one zero on the circle, the others inside: no zero outside.  At
+        # r = 1 - 5e-8 it is tagged ON too, and only certifying "inside" at
+        # 1 - 2 CIRCLE_TOL keeps the certificate from taking it inside
+        return Polynomial.from_roots([r * np.exp(0.4j), 0.5j, -0.3, 0.4, 0.2 + 0.1j])
 
     def test_routes_agree_on_member(self):
         lp = LambdaParam(self.n, self.lam)
@@ -195,8 +198,9 @@ class TestDiskRoutes:
             assert not in_D_first(F, lp, True).member
             assert not eq8_oracle(F, lp, True).member
         for route in (in_D_third, in_D_first):
-            v = route(self.on_and_inside(), lp, True)
-            assert v.margin == 0.0 and "mixed_root_on_circle" in v.witnesses
+            for r in (1.0, 1.0 - 5e-8):
+                v = route(self.on_and_inside(r), lp, True)
+                assert v.margin == 0.0 and "mixed_root_on_circle" in v.witnesses
 
     def test_second_route_rejects_mixed_roots_in_preamble(self):
         # the pencil itself cannot tell F from its n-inverse, so mixed or
@@ -385,6 +389,67 @@ def test_second_route_halves_need_no_root_find(crowded_split):
                                   maxsteps=400, extraprec=200)
             assert len(zs) == lp.n
             assert max(abs(abs(z) - 1) for z in zs) < mpmath.mpf(10) ** -50
+
+
+def certified_inside_instances():
+    """(label, lp, F): stress draws, and boundary-family, scaled and
+    rejection instances, as in the benchmark's routes mix."""
+    for k in range(0, 400, 10):
+        F, lp, _, _ = stress_draw(k)
+        yield f"stress {k}", lp, F
+    rng = np.random.default_rng(20)
+    for i in range(45):
+        n = 2 + i % 7
+        lam = float(rng.uniform(0.05, 0.95)) * TP / n
+        if i % 3 == 0:
+            c = cmath.exp(1j * rng.uniform(0.1, math.pi - 0.1))
+            F = extremal_family(n, lam, -float(rng.uniform(0.2, 2.0)),
+                                float(rng.normal()), c) - q_extremal(n, lam)
+            F = F.scale_argument(1.0 + 10 ** rng.uniform(-6, -1))
+        elif i % 3 == 1:
+            gaps = lam + (TP - n * lam) * rng.dirichlet(np.ones(n))
+            zeros = rng.uniform(0.6, 0.97) * np.exp(1j * (rng.uniform(0, TP) + np.cumsum(gaps)))
+            F = Polynomial.from_roots(zeros)
+        else:
+            zeros = rng.uniform(0.2, 0.95) * np.sqrt(rng.uniform(0, 1, n)) * np.exp(
+                1j * rng.uniform(0, TP, n))
+            F = Polynomial.from_roots(zeros)
+        yield ("boundary", "scaled", "rejection")[i % 3], LambdaParam(n, lam), F
+
+
+def all_routes(F, lp):
+    return {(method, closed): in_D(F, lp, closed, method).as_dict()
+            for method in ("third", "first", "second") for closed in (True, False)}
+
+
+def test_certificate_leaves_every_verdict_as_the_root_find(monkeypatch):
+    # the Schur-Cohn certificate only skips root finds: with it declining
+    # every polynomial, each route root-finds and must reach the same verdict
+    fired, real = [], classes.all_zeros_within
+    monkeypatch.setattr(classes, "all_zeros_within",
+                        lambda p, r: fired.append(real(p, r)) or fired[-1])
+    instances = list(certified_inside_instances())
+    fast = [all_routes(F, lp) for _, lp, F in instances]
+    monkeypatch.setattr(classes, "all_zeros_within", lambda p, r: False)
+    for (label, lp, F), want in zip(instances, fast):
+        assert all_routes(F, lp) == want, label
+    assert sum(fired) >= 200, (sum(fired), len(fired))
+
+
+def test_member_paths_take_no_root_find(monkeypatch):
+    # F's zeros certified inside: the third and second routes never root-find
+    calls = []
+    real = classes.find_roots
+    monkeypatch.setattr(classes, "find_roots",
+                        lambda p, *a, **k: calls.append(p) or real(p, *a, **k))
+    for n in (3, 5, 8):
+        lp = LambdaParam(n, 0.6 * TP / n)
+        F = q_extremal(n, lp.lam).scale_argument(1.2)
+        for closed in (True, False):
+            for method in ("third", "second"):
+                v = in_D(F, lp, closed, method)
+                assert v.member and not v.indeterminate, (n, closed, method, v)
+    assert calls == []
 
 
 class TestBoundaryFamilyOpenClass:
@@ -805,6 +870,15 @@ class TestHermiteBiehler:
         assert abs(self_inversive_phase(self.P) - 1.0) < 1e-9
         with pytest.raises(PhaseCollision):
             hermite_biehler(self.P, self.Q * (-1j))
+
+    def test_constant_difference(self):
+        # P - Q = e^{0.5i} - e^{2i}: F's zero is at infinity and its
+        # n-inverse's at 0, so F's n-inverse has it inside (this raised
+        # ValueError from the root finder)
+        P = Polynomial([cmath.exp(0.5j), 1], 1)
+        Q = Polynomial([cmath.exp(2j), 1], 1)
+        assert hermite_biehler(P, Q)
+        assert hermite_biehler(P, Q, strict=True)
 
 
 class TestHermiteKakeya:

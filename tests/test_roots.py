@@ -20,12 +20,14 @@ from polyconv.roots import (
     CIRCLE_TOL,
     NEWTON_STEPS,
     ON,
+    OUTSIDE,
     RootSet,
     _circle_sign,
     _companion_roots,
     _components,
     _inclusion_radii,
     _refine_multiple,
+    all_zeros_within,
     arg_separation,
     find_roots,
     interspersed,
@@ -338,6 +340,111 @@ class TestInclusionDisks:
         assert rs.all_on_circle()
         double = next(z for z, m in rs.roots if m == 2)
         assert abs(abs(double) - 1.0) < 1e-8
+
+
+#: the radii the routes certify at: the open-tag band 1 - 2 CIRCLE_TOL,
+#: the ON band's inner edge and the circle itself
+BAND_RADII = (1.0 - 2.0 * CIRCLE_TOL, 1.0 - CIRCLE_TOL, 1.0)
+
+
+def mp_outermost(c, dps=50):
+    """The largest modulus among mpmath's zeros of the ascending
+    coefficients c, at dps digits (an mpf, not rounded to a double)."""
+    with mpmath.workdps(dps):
+        zs = mpmath.polyroots([mpmath.mpc(z.real, z.imag) for z in np.asarray(c)[::-1]],
+                              maxsteps=600, extraprec=4 * dps)
+        return max(abs(z) for z in zs)
+
+
+def near_band_draws():
+    """(p, r): degree 1 to 16, one zero of multiplicity 1, 2 or 3 at
+    1e-9 to 1e-5 inside or outside r, the others at modulus 0.05 to 0.95 r."""
+    rng = np.random.default_rng(1917)
+    for d in range(1, 17):
+        mult = min(d, 1 + d % 3)
+        for r in BAND_RADII:
+            for side in (-1.0, 1.0):
+                near = (r + side * 10 ** rng.uniform(-9, -5)) * cmath.exp(
+                    2j * math.pi * rng.uniform())
+                rest = rng.uniform(0.05, 0.95, d - mult) * r * np.exp(
+                    2j * math.pi * rng.uniform(size=d - mult))
+                lead = cmath.exp(2j * math.pi * rng.uniform())
+                yield Polynomial.from_roots([near] * mult + list(rest), leading=lead), r
+
+
+class TestAllZerosWithin:
+    """The Schur-Cohn certificate against find_roots and mpmath."""
+
+    def check(self, p, r):
+        """all_zeros_within(p, r); a True answer is checked against mpmath
+        (every zero below r) and against find_roots' tags (all INSIDE at
+        r = 1 - 2 CIRCLE_TOL, none OUTSIDE at any r <= 1)."""
+        ok = all_zeros_within(p, r)
+        if ok:
+            assert mp_outermost(p.coeffs) < r, (p, r)
+            tags = find_roots(p).tags()
+            assert OUTSIDE not in tags
+            if r == BAND_RADII[0]:
+                assert tags == ["INSIDE"] * len(tags)
+        return ok
+
+    def test_near_band_zeros_against_mpmath_and_find_roots(self):
+        # 18 of the 48 draws with the near zero inside certify (none outside can)
+        assert sum(self.check(p, r) for p, r in near_band_draws()) >= 15
+
+    def test_true_means_every_mpmath_zero_below_r(self):
+        # every zero 1e-9 to 1e-1 from r, almost all of them inside
+        rng = np.random.default_rng(1002)
+        fired = 0
+        for k in range(200):
+            d, r = int(rng.integers(2, 17)), BAND_RADII[k % 3]
+            side = np.where(rng.uniform(size=d) < 0.97, -1.0, 1.0)
+            z = (r + side * 10 ** rng.uniform(-9, -1, d)) * np.exp(
+                2j * math.pi * rng.uniform(size=d))
+            fired += self.check(Polynomial.from_roots(z, leading=cmath.exp(1j * k)), r)
+        assert fired >= 50, fired
+
+    def test_multiple_zeros_by_the_band(self):
+        # double and triple zeros 1e-9 to 1e-5 inside and outside each radius:
+        # rounding splits them by up to eps^(1/m) about their nominal place
+        for d, m in ((2, 2), (3, 3), (6, 2), (9, 3), (16, 2), (16, 3)):
+            for r in BAND_RADII:
+                for delta in (-1e-5, -1e-7, -1e-9, 1e-9, 1e-7, 1e-5):
+                    rest = 0.5 * np.exp(2j * math.pi * np.arange(d - m) / max(d - m, 1))
+                    p = Polynomial.from_roots([(r + delta) * cmath.exp(0.3j)] * m + list(rest))
+                    self.check(p, r)
+
+    def test_zeros_on_the_circle_are_not_inside(self):
+        for d in range(1, 17):
+            p = Polynomial.from_roots(np.exp(2j * math.pi * (np.arange(d) + 0.3) / d))
+            for r in BAND_RADII:
+                assert not self.check(p, r)
+            # |a_0| = |a_n| with zeros off the circle: their product has modulus 1
+            c = np.zeros(d + 1, dtype=complex)
+            c[0], c[-1] = 1j, 1.0
+            c[1:-1] = 0.3 / d
+            for r in BAND_RADII:
+                assert not all_zeros_within(Polynomial(c, d), r)
+
+    def test_zeros_well_inside_certify_at_every_degree(self):
+        rng = np.random.default_rng(1922)
+        for d in range(1, 17):
+            for _ in range(3):
+                z = rng.uniform(0.0, 0.9, d) * np.exp(2j * math.pi * rng.uniform(size=d))
+                p = Polynomial.from_roots(z, leading=1.0 - 2.0j)
+                assert find_roots(p).all_inside()
+                assert all(all_zeros_within(p, r) for r in BAND_RADII), d
+                # and the n-inverse, whose zeros are 1 / conj(z), never does
+                assert not all_zeros_within(p.n_inverse(), 1.0)
+
+    def test_declines_degenerate_input(self):
+        assert not all_zeros_within(Polynomial([2.0], 0), 1.0)
+        assert not all_zeros_within(Polynomial([0.0, 0.0], 1), 1.0)
+        assert not all_zeros_within(Polynomial([math.nan, 1.0], 1), 1.0)
+        assert not all_zeros_within(Polynomial([0.1, math.inf], 1), 1.0)
+        # a zero at the origin is inside, at any scale of the coefficients
+        for scale in (1e-250, 1.0, 1e250):
+            assert all_zeros_within(Polynomial([0.0, 0.5 * scale, scale], 2), 1.0)
 
 
 def reference_radius(c, w, k):
