@@ -19,8 +19,10 @@ margins are unitless, in [-1/2, 1/2], and flagged indeterminate where the
 sign is within rounding.  The first route
 (in_D_first) decides its folds F + zeta F^*n for every unimodular zeta at
 once from F's zeros, by the least gap of the argument of the Blaschke
-product F / F^*n.  eq8_oracle is the direct exterior-grid evaluation of
-the defining inequality.
+product F / F^*n; it, like the open class at lambda = 0, reads F's
+zeros, so its preamble root-finds F and skips the certificate.
+eq8_oracle is the direct exterior-grid evaluation of the defining
+inequality.
 """
 
 from __future__ import annotations
@@ -183,19 +185,20 @@ def build_char_polys(F, lp, P=None, Q=None):
 # -- disk-class routes -------------------------------------------------------
 
 
-def _route_roots(F, lp, closed, label, method):
-    """Common preamble: degree, then where F's zeros lie.  Zeros that
+def _route_roots(F, lp, closed, label, method, roots=False):
+    """Common preamble: degree, then where F's zeros lie.  For callers that
+    read no zeros (the third and second routes), zeros that
     all_zeros_within certifies below INSIDE_RADIUS return (None, None)
-    without a root find.  Otherwise F is root-found: a zero outside decides
-    non-member by the outermost zero, margin 1 - |z|; zeros all on the
-    circle go to in_T (method/routed_T); zeros on and inside the circle are
-    a non-member at margin 0.  Returns (verdict_or_None, rootset_or_None);
-    a None verdict means all zeros are strictly inside and the route's own
-    test runs, and a route that reads the zeros finds them itself when the
-    certificate left the root set None."""
+    without a root find.  Callers that read them (roots=True: the first
+    route and the open class at lambda = 0) skip the certificate, and F is
+    root-found: a zero outside decides non-member by the outermost zero,
+    margin 1 - |z|; zeros all on the circle go to in_T (method/routed_T);
+    zeros on and inside the circle are a non-member at margin 0.  Returns
+    (verdict_or_None, rootset_or_None); a None verdict means all zeros are
+    strictly inside and the route's own test runs."""
     if (bad := _degree_verdict(F, lp, label, method)) is not None:
         return bad, None
-    if all_zeros_within(F, INSIDE_RADIUS):
+    if not roots and all_zeros_within(F, INSIDE_RADIUS):
         return None, None
     rs = find_roots(F)
     tags = rs.tags()
@@ -372,11 +375,9 @@ def in_D_first(F, lp, closed=True):
     """
     lp.require_interior()
     label = _label("D", closed)
-    early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR")
+    early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR", roots=True)
     if early is not None:
         return early
-    if rs is None:
-        rs = find_roots(F)
     n, eps = lp.n, np.finfo(float).eps
     if n == 1:  # one zero per fold, which in_T separates by 2 pi
         return _margin_verdict(label, closed, "FIRST_CHAR", 2.0 * math.pi - lp.lam, False, 1j)
@@ -523,11 +524,9 @@ def _in_D_lambda0(F, lp, closed):
     the open class through the routes' preamble, _route_roots."""
     label = _label("D", closed)
     if not closed:
-        early, rs = _route_roots(F, lp, False, label, "definition")
+        early, rs = _route_roots(F, lp, False, label, "definition", roots=True)
         if early is not None:
             return early
-        if rs is None:
-            rs = find_roots(F)
         return MembershipVerdict(label, True, "definition", 1.0 - abs(rs.outermost()))
     if (bad := _degree_verdict(F, lp, label, "definition")) is not None:
         return bad

@@ -21,7 +21,6 @@ from .classes import (
     extremal_family,
     in_D,
     in_T,
-    is_lambda_extremal,
     pre_class_test,
 )
 from .domains import (
@@ -302,17 +301,10 @@ def run_main_trial(n, lam, trials, seed=0, mu=None):
 
 
 def _main_part_two(n, lam, mu, rng, rep, t):
-    # pre-coefficient member at lam must lift to the open class at mu > lam,
-    # provided no unimodular fold of the lift is lambda-extremal
-    lp = LambdaParam(n, lam)
+    # pre-coefficient member at lam must lift to the open class at mu > lam;
+    # F is an open-class draw, so by the first characterization no fold is lambda-extremal
     F, tag = sample_D(n, lam, rng,
                       strategy=("scaled", "rejection")[rng.integers(0, 2)])
-    Fi = F.n_inverse()
-    for j in range(16):
-        zeta = np.exp(2j * np.pi * j / 16)
-        if is_lambda_extremal(F + complex(zeta) * Fi, lp):
-            rep.skip()
-            return
     f = Polynomial(F.coeffs / q_extremal(n, lam).coeffs.real, n)
     v = pre_class_test(f, LambdaParam(n, mu), "PD_open")
     _judge(rep, v.margin,
@@ -446,7 +438,7 @@ def run_gauss_lucas_trial(n, lam, trials, seed=0):
             else:
                 rep.record(-dist, _wit("closed image escaped", F, trial=t))
         elif mode == 1:  # open disk-class members: image in open disk
-            F, _ = sample_D(n, lam, rng) if lam > 0 else sample_D(n, 0.0, rng)
+            F, _ = sample_D(n, lam, rng)
             _judge(rep, -_escape_distance(delta(F, lp)),
                    lambda: _wit("open image escaped", F, trial=t))
         else:  # converse on self-inversive inputs: non-member -> image escapes

@@ -452,6 +452,28 @@ def test_member_paths_take_no_root_find(monkeypatch):
     assert calls == []
 
 
+def test_root_readers_take_no_certificate(monkeypatch):
+    # the first route and the open class at lambda = 0 read F's zeros: their
+    # preamble root-finds F once, certified inside (scale 1.2) or declined
+    # (scale 0.8, zeros outside), and runs no Schur-Cohn certificate
+    calls = []
+    for name in ("all_zeros_within", "find_roots"):
+        real = getattr(classes, name)
+        monkeypatch.setattr(classes, name, lambda *a, _name=name, _real=real, **k:
+                            calls.append(_name) or _real(*a, **k))
+    for n in (3, 5, 8):
+        lp = LambdaParam(n, 0.6 * TP / n)
+        for scale in (1.2, 0.8):
+            F = q_extremal(n, lp.lam).scale_argument(scale)
+            for closed in (True, False):
+                calls.clear()
+                assert in_D(F, lp, closed, "first").member == (scale > 1.0)
+                assert calls == ["find_roots"], (n, scale, closed, calls)
+            calls.clear()
+            assert in_D(F, LambdaParam(n, 0.0), False).member == (scale > 1.0)
+            assert calls == ["find_roots"], (n, scale, calls)
+
+
 class TestBoundaryFamilyOpenClass:
     # P - Q_n of the boundary family lies in the closed class only; at these
     # low lambda a root find splits T's double zeros on the circle off it

@@ -1,5 +1,6 @@
 """Randomized trial runners: samplers, reproducibility, report invariants."""
 
+import hashlib
 import json
 import math
 
@@ -10,7 +11,7 @@ from polyconv import domains, harness
 from polyconv.errors import OutOfRange, SamplerExhausted
 from polyconv.poly import LambdaParam
 from polyconv.roots import RootSet
-from polyconv.classes import _third_sign, in_D_third, in_T
+from polyconv.classes import _third_sign, in_D_first, in_D_third, in_T
 from polyconv.poly import Polynomial
 from polyconv.domains import IN, BOUNDARY, contains, limacon_inner, limacon_outer
 from polyconv.harness import (
@@ -71,6 +72,19 @@ class TestSamplers:
             assert tag == strategy
             closed = strategy == "boundary"
             assert in_D_third(F, lp, closed=closed).member
+        if strategy == "boundary":
+            return
+        # open-class draws, decided by the first route at every interior
+        # grid point: no fold of them can be lambda-extremal, which is why
+        # the main trial's part two needs no extremal check
+        for n, lam in standard_grid():
+            if lam == 0.0:
+                continue
+            lp = LambdaParam(n, lam)
+            for _ in range(5):
+                F, _ = sample_D(n, lam, rng, strategy=strategy)
+                v = in_D_first(F, lp, closed=False)
+                assert v.member and not v.indeterminate and v.margin > 0.0, (n, lam, v)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rejection_draws_skip_the_preamble(self, n):
@@ -196,6 +210,18 @@ class TestRunners:
             a = run(42)
             assert a.to_json() == run(42).to_json()
             assert run(43).to_json() != a.to_json()
+
+    def test_report_bytes_pinned(self):
+        # the reports of a few grid points, at lambda = 0 and where the main
+        # trial's part two runs (t = 2, 5), must not drift between versions
+        grid = list(standard_grid())
+        digest = hashlib.sha256()
+        for i in (0, 11, 24, 37, 50):
+            n, lam = grid[i]
+            for run in (run_main_trial, run_suffridge_trial, run_gauss_lucas_trial):
+                digest.update(run(n, lam, trials=6, seed=11).to_json().encode())
+        assert digest.hexdigest() == \
+            "19678a7bf18ba27ae2c8b96068d9557061c5e92d48cdfbad21a084a60589307b"
 
     def test_grid_shape(self):
         grid = list(standard_grid(n_max=4))
