@@ -42,7 +42,6 @@ from .classes import (
     eq8_oracle,
     extremal_family,
     half_plane_criterion,
-    half_plane_margin,
     hermite_biehler,
     hermite_kakeya,
     in_D,

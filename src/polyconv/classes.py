@@ -16,11 +16,12 @@ zeros in the disk.  Both use zeros strictly inside only as a fact, which
 the Schur-Cohn recursion (roots.all_zeros_within) certifies without a
 root find; F and the ends are root-found only when it cannot.  Their
 margins are unitless, in [-1/2, 1/2], and flagged indeterminate where the
-sign is within rounding.  The first route
-(in_D_first) decides its folds F + zeta F^*n for every unimodular zeta at
-once from F's zeros, by the least gap of the argument of the Blaschke
-product F / F^*n; it, like the open class at lambda = 0, reads F's
-zeros, so its preamble root-finds F and skips the certificate.
+sign is within rounding.  half_plane_criterion decides its inequality,
+and herglotz.disk_limit_check through it, by the same sign test.  The
+first route (in_D_first) decides its folds F + zeta F^*n for every
+unimodular zeta at once from F's zeros, by the least gap of the argument
+of the Blaschke product F / F^*n; it, like the open class at lambda = 0,
+reads F's zeros, so its preamble root-finds F and skips the certificate.
 eq8_oracle is the direct exterior-grid evaluation of the defining
 inequality.
 """
@@ -56,8 +57,6 @@ EXTREMAL_TOL = 1e-10
 #: the exterior grid of eq8_oracle: angles and geometric radii out to 8
 ORACLE_ANGLES = 256
 ORACLE_RADII = 64
-#: circle nodes of the half-plane criterion
-HALF_PLANE_GRID = 256
 #: in_D_first bisects every node interval over which the argument of
 #: F / F^*n rises by more than this
 PHASE_STEP = math.pi / 8
@@ -571,9 +570,6 @@ def hermite_biehler(P, Q, strict=False):
     verified along both equivalent routes; disagreement raises."""
     if _phases(P, Q)[2]:
         raise PhaseCollision("distinct self-inversive phases required")
-    if P.approx_eq(Q) or (P.norm() > 0 and Q.norm() > 0 and
-                          (P * (1.0 / P.norm())).approx_eq(Q * (1.0 / Q.norm()), 1e-12)):
-        raise BadParams("P/Q must be nonconstant")
     rsP = find_roots(P)
     rsQ = find_roots(Q)
     via_roots = interspersed(rsP, rsQ, strict=strict)
@@ -628,23 +624,20 @@ def hermite_kakeya(P, Q, strict=False):
 # -- half-plane criterion and the explicit boundary family -------------------
 
 
-def half_plane_margin(f):
-    """min over the unit circle of Re((f(z)-a0)/(a_n z^n - a0)) - 1/2."""
-    c = f.coeffs
-    n = f.nominal_degree
+def half_plane_criterion(f):
+    """Re((f - a_0) / B) > 1/2 on the circle, B = a_n z^n - a_0 (so, by the
+    maximum principle, outside the disk), decided by roots._circle_sign as
+    s = Im(A conj B) = |B|^2 (Re((f - a_0) / B) - 1/2) > 0, A = i(f - (a_0 +
+    a_n z^n) / 2).  The quotient is 1 at infinity, so s is positive somewhere
+    and a member's margin, the least of s / (|A|^2 + |B|^2), lies in (0, 1/2];
+    a non-member's in [-1/2, 0].  A margin within rounding is indeterminate,
+    a non-member (the inequality is strict)."""
+    c, n = f.coeffs, f.nominal_degree
     a0, an = c[0], c[n]
     if abs(a0) >= abs(an):
         raise HypothesisViolated(f"need |a_0| < |a_n|, got {abs(a0)} >= {abs(an)}")
-    z = np.exp(2j * np.pi * np.arange(HALF_PLANE_GRID) / HALF_PLANE_GRID)
-    num = f.eval_many(z) - a0
-    den = an * z**n - a0
-    return float(np.min(np.real(num / den))) - 0.5
-
-
-def half_plane_criterion(f):
-    """True when the shifted quotient stays in Re > 1/2 on the circle (and
-    hence, by the maximum principle, outside the disk)."""
-    return half_plane_margin(f) > 0.0
+    A, B = 1j * np.r_[a0 / 2, c[1:n], an / 2], np.r_[-a0, np.zeros(n - 1), an]
+    return _margin_verdict("half_plane", False, "CIRCLE_SIGN", *_circle_sign(A, B))
 
 
 def extremal_family(n, lam, a, b, c):

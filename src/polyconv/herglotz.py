@@ -15,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classes import half_plane_criterion
 from .errors import HypothesisViolated, OutOfDomain, OutOfRange, PositivityLost
 from .poly import LambdaParam, Polynomial
+from .qconv import _require_degree
 
-#: points of disk_limit_check's inner circle, at radius 1 - 1/LIMIT_GRID
-LIMIT_GRID = 512
+#: radius of disk_limit_check's inner circle
+LIMIT_RADIUS = 1.0 - 1.0 / 512
 
 
 #: deterministic default schedule: k = 2^j paired with r = 1 - 2^(-j/2)
@@ -113,20 +115,15 @@ def evaluate_approximant_many(h, zs):
 def disk_limit_check(p, lp: LambdaParam):
     """Half-plane check for the n-inverse on an inner circle.
 
-    For a candidate p with leading coefficient 1, verifies
+    For p of nominal degree n, leading coefficient 1 and |a_0| < 1, decides
     Re((p^{*n}(z) - conj(a_0) z^n)/(1 - conj(a_0) z^n)) > 1/2 on the circle
-    of radius 1 - 1/LIMIT_GRID, at LIMIT_GRID points.
+    of radius rho = LIMIT_RADIUS.  As p^{*n}(rho w) = rho^n w^n conj(p(w/rho))
+    for |w| = 1, that quotient at rho w is the conjugate of
+    half_plane_criterion's for p(z/rho) at w, with the same real part.
     """
-    n = lp.n
-    c = p.coeffs
-    if abs(c[n] - 1.0) > 1e-10:
+    _require_degree(p, lp)
+    if abs(p.coeffs[lp.n] - 1.0) > 1e-10:
         raise HypothesisViolated("leading coefficient must be 1")
-    a0bar = np.conj(c[0])
-    if abs(a0bar) >= 1.0:
-        raise HypothesisViolated(f"need |a_0| < 1, got {abs(a0bar)}")
-    rad = 1.0 - 1.0 / LIMIT_GRID
-    z = rad * np.exp(2j * np.pi * np.arange(LIMIT_GRID) / LIMIT_GRID)
-    pstar = p.n_inverse()
-    num = pstar.eval_many(z) - a0bar * z**n
-    den = 1.0 - a0bar * z**n
-    return bool(np.min(np.real(num / den)) > 0.5)
+    if abs(p.coeffs[0]) >= 1.0:
+        raise HypothesisViolated(f"need |a_0| < 1, got {abs(p.coeffs[0])}")
+    return half_plane_criterion(p.scale_argument(1.0 / LIMIT_RADIUS))

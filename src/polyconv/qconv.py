@@ -39,11 +39,15 @@ def _table(n, lam):
     return vals
 
 
+def _require_degree(f, lp):
+    if f.nominal_degree != lp.n:
+        raise OutOfRange(f"lambda parameter is for n={lp.n}, polynomial has n={f.nominal_degree}")
+
+
 def _row(f, lp):
     """The weights C_0..C_n at lp for f of nominal degree n.  The upper
     endpoint is rejected: the interior weights vanish there."""
-    if f.nominal_degree != lp.n:
-        raise OutOfRange(f"lambda parameter is for n={lp.n}, polynomial has n={f.nominal_degree}")
+    _require_degree(f, lp)
     if lp.is_upper_endpoint:
         raise OutOfRange(f"lambda={lp.lam} is the upper endpoint 2*pi/{lp.n}, "
                          "where the weights vanish")

@@ -7,10 +7,11 @@ route too.  Deterministic given its options.  `all_zeros_within`
 certifies "every zero inside a radius" without root finding, by the
 Schur-Cohn recursion with a running rounding bound; the routes use it
 before find_roots wherever they need that fact alone.  `_circle_sign`
-certifies the sign of Im(A conj B) on the circle, which decides where a
-pencil of polynomials takes zeros on the circle without root finding: it
-samples on a node grid in numpy, then refines each node minimum by scalar
-Newton steps that stop once a step cannot beat the rounding of the sign.
+certifies the sign of Im(A conj B) on the circle, which decides without
+root finding where a pencil of polynomials takes zeros on the circle, and
+the half-plane criterion of classes: it samples on a node grid in numpy,
+then refines each node minimum by scalar Newton steps that stop once a
+step cannot beat the rounding of the sign.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 from .errors import NoConvergence, NotOnCircle
 
 CIRCLE_TOL = 1e-7
+#: find_roots raises NoConvergence at a residual above sqrt(RESIDUAL_TOL)
+RESIDUAL_TOL = 1e-13
 #: argument distance at which interspersed() reads two zeros as shared
 ANG_TOL = 1e-9
 #: most Newton steps per refinement loop (here and in the first route);
@@ -263,14 +266,14 @@ def _cluster(c, rev, eig, points):
     return found
 
 
-def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
+def find_roots(p, circle_tol=CIRCLE_TOL):
     """All roots of p with multiplicities, classified against the unit circle.
 
     Distinct zeros come out simple once their inclusion disks separate at
     the eigenvalues or at the polished points; zeros whose disks overlap
     at both form one multiple root (see _cluster).  Raises ValueError on a
     non-finite coefficient, and NoConvergence when the normalized residual
-    at the simple roots is above sqrt(tol) after the eigensolve and polish.
+    at the simple roots is above sqrt(RESIDUAL_TOL) after eigensolve and polish.
     """
     bad = np.flatnonzero(~np.isfinite(p.coeffs))
     if bad.size:
@@ -322,7 +325,7 @@ def find_roots(p, tol=1e-13, circle_tol=CIRCLE_TOL):
         vals = np.abs(p.eval_many(simple))
         sizes = scale * np.maximum(1.0, np.abs(simple)) ** d
         residual = float(np.max(vals / sizes))
-        if not residual <= math.sqrt(tol):  # a NaN residual fails too
+        if not residual <= math.sqrt(RESIDUAL_TOL):  # a NaN residual fails too
             raise NoConvergence(
                 f"residual {residual:.3e} above tolerance after eigensolve and polish")
     found.sort(key=lambda rm: (round(abs(rm[0]), 12), math.atan2(rm[0].imag, rm[0].real)))
@@ -408,7 +411,8 @@ def _circle_nodes(size):
 
 
 def _circle_sign(A, B):
-    """Certified sign of s(phi) = Im(A conj B)(e^{i phi}) on the unit circle.
+    """Certified sign of s(phi) = Im(A conj B)(e^{i phi}) on the unit circle,
+    which decides the third and second routes and the half-plane criterion.
 
     A and B (ascending coefficients of one length d + 1) are evaluated on
     M = max(64, 32(d + 1)) nodes, never through the product coefficients of

@@ -158,7 +158,9 @@ def test_criterion_4_disk_convolution_and_half_plane():
             f = rand_poly(rng, n)
             if abs(f.coeffs[0]) >= abs(f.coeffs[n]):
                 continue
-        verdict = half_plane_criterion(f)
+        v = half_plane_criterion(f)
+        assert not v.indeterminate, (f.coeffs, v.margin)
+        verdict = v.member
         grid = [j * (2 * math.pi / n) / 8 for j in range(8)]
         admits = any(
             pre_class_test(f, LambdaParam(n, lam), "PD_open").member

@@ -25,7 +25,6 @@ from polyconv.classes import (
     eq8_oracle,
     extremal_family,
     half_plane_criterion,
-    half_plane_margin,
     hermite_biehler,
     hermite_kakeya,
     in_D,
@@ -980,20 +979,37 @@ class TestHermiteKakeya:
 
 class TestHalfPlane:
     def test_monomial_plus_small_constant(self):
-        f = Polynomial([0.4, 0, 0, 1.0], 3)
-        assert half_plane_criterion(f)
-        assert half_plane_margin(f) > 0
+        v = half_plane_criterion(Polynomial([0.4, 0, 0, 1.0], 3))
+        assert v.member and not v.indeterminate
+        assert 0.0 < v.margin <= 0.5
 
     def test_pre_extremal_geometric(self):
         n = 5
         # |b| > 1 keeps the constant coefficient below the leading one
         b = 1.3 * cmath.exp(0.4j)
         f = Polynomial([b ** k for k in range(n + 1)], n)
-        assert half_plane_criterion(f)
+        assert half_plane_criterion(f).member
 
     def test_failing_instance(self):
-        f = Polynomial([0.3, 5.0, -4.0, 1.0], 3)
-        assert not half_plane_criterion(f)
+        v = half_plane_criterion(Polynomial([0.3, 5.0, -4.0, 1.0], 3))
+        assert not v.member and not v.indeterminate
+        assert -0.5 <= v.margin < 0.0 and "circle_point" in v.witnesses
+
+    def test_dip_between_grid_nodes(self):
+        # Re((f - a_0)/(a_n z^n - a_0)) - 1/2 stays at +2.3e-7 on 256
+        # equally spaced circle nodes but reaches -8.5e-7 between them
+        f = Polynomial([(-0.6346534336264298 + 0.7101563117269551j),
+                        (-0.012854846517861417 - 0.0019395193592322438j),
+                        (-0.006696745356542426 + 0.0009809881528897778j),
+                        (0.0038002408359771637 - 0.0028298862288302063j),
+                        (-0.01224918473253129 - 0.012528229707653315j),
+                        (-0.9871641976519347 + 0.15970863118257517j)], 5)
+        z = np.exp(2j * np.pi * np.arange(65536) / 65536)
+        c = f.coeffs
+        assert np.min(np.real((f.eval_many(z) - c[0]) / (c[5] * z ** 5 - c[0]))) < 0.5
+        v = half_plane_criterion(f)
+        assert not v.member and not v.indeterminate
+        assert v.margin < 0.0
 
     def test_hypothesis_guard(self):
         with pytest.raises(HypothesisViolated):

@@ -13,6 +13,7 @@ from polyconv.errors import (
 )
 from polyconv.poly import LambdaParam, Polynomial
 from polyconv.herglotz import (
+    LIMIT_RADIUS,
     HerglotzApproximant,
     build_approximant,
     default_schedule,
@@ -140,9 +141,48 @@ class TestDiskLimit:
     def test_monomial_passes(self):
         lp = LambdaParam(4, 0.3)
         p = Polynomial([0.2, 0, 0, 0, 1.0], 4)
-        assert disk_limit_check(p, lp)
+        v = disk_limit_check(p, lp)
+        assert v.member and not v.indeterminate
 
     def test_leading_coefficient_guard(self):
         lp = LambdaParam(2, 0.3)
         with pytest.raises(HypothesisViolated):
             disk_limit_check(Polynomial([0.1, 0.0, 2.0], 2), lp)
+
+    def test_constant_coefficient_guard(self):
+        with pytest.raises(HypothesisViolated):
+            disk_limit_check(Polynomial([1.5, 0.0, 1.0], 2), LambdaParam(2, 0.3))
+
+    @pytest.mark.parametrize("p, n", [
+        (Polynomial([0.2, 0.0, 1.0], 2), 4),  # lp.n above the degree
+        (Polynomial([0.2, 0.0, 0.0, 0.0, 1.0], 4), 2),  # and below it
+    ])
+    def test_degree_mismatch_raises(self, p, n):
+        with pytest.raises(OutOfRange, match="lambda parameter is for n="):
+            disk_limit_check(p, LambdaParam(n, 0.3))
+
+    def test_matches_dense_inner_circle(self):
+        # the quotient of the definition on 65,536 points of the inner circle
+        m = 65536
+        angles = 2.0 * np.pi * np.arange(m) / m
+        z = LIMIT_RADIUS * np.exp(1j * angles)
+        zn = {n: LIMIT_RADIUS ** n * np.exp(1j * n * angles) for n in range(2, 9)}
+        rng = np.random.default_rng(23)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            c = np.zeros(n + 1, dtype=complex)
+            c[0] = rng.uniform(0.0, 0.95) * np.exp(2j * np.pi * rng.uniform())
+            c[1:n] = (10 ** rng.uniform(-1.0, 0.5) / n) * (
+                rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+            c[n] = 1.0
+            p = Polynomial(c, n)
+            a0bar = np.conj(c[0])
+            quot = (p.n_inverse().eval_many(z) - a0bar * zn[n]) / (1.0 - a0bar * zn[n])
+            least = float(np.min(quot.real)) - 0.5
+            if abs(least) <= 1e-9:
+                continue
+            v = disk_limit_check(p, LambdaParam(n, 0.3))
+            assert not v.indeterminate and v.member == (least > 0.0), (c, least, v)
+            seen[v.member] += 1
+        assert min(seen.values()) >= 40, seen

@@ -86,12 +86,13 @@ class TestFindRoots:
         want = sorted(roots, key=lambda z: (z.real, z.imag))
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-6
 
-    def test_nonconvergence_raised(self):
+    def test_nonconvergence_raised(self, monkeypatch):
         # sqrt(1e-40) = 1e-20 lies below any float residual of this stiff
         # real-rooted polynomial, so the residual gate must fire
+        monkeypatch.setattr(polyconv.roots, "RESIDUAL_TOL", 1e-40)
         p = Polynomial.from_roots(np.arange(1.0, 13.0))
         with pytest.raises(NoConvergence):
-            find_roots(p, tol=1e-40)
+            find_roots(p)
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
