@@ -2,7 +2,11 @@
 
 Membership is decided algebraically on the defining inequality of each
 region; no boundary discretization enters the predicates themselves.  The
-boundary polyline emitter exists only for plotting.
+boundary polyline emitter exists only for plotting.  It traces every ray
+at once: `_defect`, the one defect function, takes a Python complex in
+`contains` and the array of all ray points in the polyline, which
+brackets each ray by doubling and then shrinks every bracket together by
+Anderson–Björck regula-falsi steps.
 """
 
 from __future__ import annotations
@@ -175,41 +179,98 @@ def counterexample_P(alpha, n):
     return Polynomial(c, n)
 
 
+#: a ray of an unbounded region that is still inside this far from the
+#: anchor counts as leaving the region through infinity
+_FAR = 1e6
+
+
+def _ray_anchor(d):
+    """(interior point, reach): every boundary point of a bounded region
+    lies within reach of the point; reach is None for the unbounded ones."""
+    if d.kind in {LIMACON_O, LIMACON_O_CLOSED}:
+        return complex(-(3.0 + d.gamma)), None
+    if d.kind not in _OMEGA_KINDS:
+        return 0.0 + 0.0j, 1.0  # the disk and the inner limaçons lie in |z| <= 1
+    center = mobius(d.tau, d.gamma, 0.0)
+    if d.gamma == 1.0:
+        return center, None  # a half-plane
+    # w(u) = tau u / (1 + gamma u) maps |u| < 1 into |w| < |tau| / (1 - gamma)
+    reach = abs(d.tau) / (1.0 - d.gamma)
+    if not reach < 2.0 ** 1000:
+        raise OutOfRange(f"the boundary of {d} lies beyond the float range")
+    return center, reach
+
+
 def boundary_polyline(d, samples=256):
-    """Points on the region boundary, one per angle, found by radial
-    bisection on the defining defect.  Returns an (samples, 2) array of
-    (re, im) rows for plotting."""
+    """Points on the region boundary, one per angle, as an (m, 2) array of
+    (re, im) rows for plotting, m <= samples.
+
+    A ray leaves a region-dependent interior anchor at each angle
+    2 pi j / samples.  It is bracketed by doubling: the first of
+    t = 1, 2, 4, ... with defect <= 0 at anchor + t u, found for every ray
+    and power in one defect call.  A bounded region's rays double past
+    twice its reach, where each of them has crossed.  An unbounded region
+    (an outer limaçon, the gamma = 1 OMEGA half-plane) drops the rays that
+    are still inside at 2**20 >= 1e6.  All brackets then shrink together,
+    one defect call per step, by Anderson–Björck regula-falsi steps, until
+    each one's ends are adjacent floats or its defect is exactly zero."""
     if samples < 1:
         raise BadParams(f"samples must be >= 1, got {samples}")
     if d.kind == COMPLEMENT:
         return boundary_polyline(d.inner, samples)
     if d.kind == UNIT_CIRCLE:
         raise BadParams("the unit circle is its own boundary; no region defect")
+    if d.kind in {LIMACON_I_CLOSED, LIMACON_O_CLOSED} and d.gamma == 1.0:
+        raise BadParams("the gamma = 1 closed limaçons are segments; "
+                        "no interior to trace the boundary from")
 
-    # a region-dependent interior anchor keeps every ray crossing the boundary
-    if d.kind in _OMEGA_KINDS:
-        center = mobius(d.tau, d.gamma, 0.0)
-    elif d.kind in {LIMACON_O, LIMACON_O_CLOSED}:
-        center = complex(-(3.0 + d.gamma))
-    else:
-        center = 0.0 + 0.0j
-    pts = []
-    for t in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
-        u = complex(math.cos(t), math.sin(t))
-        lo, hi = 0.0, 1.0
-        while _defect(d, center + hi * u) > 0 and hi < 1e6:
-            lo, hi = hi, hi * 2.0
-        if _defect(d, center + hi * u) > 0:
-            continue  # unbounded direction (outer limaçon)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if _defect(d, center + mid * u) > 0:
-                lo = mid
-            else:
-                hi = mid
-        z = center + 0.5 * (lo + hi) * u
-        pts.append([z.real, z.imag])
-    return np.array(pts)
+    center, reach = _ray_anchor(d)
+    u = np.array([complex(math.cos(t), math.sin(t))
+                  for t in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)])
+    last = math.ceil(math.log2(_FAR if reach is None else 2.0 * reach))
+    powers = 2.0 ** np.arange(max(0, last) + 1)
+    f = _defect(d, center + u[:, None] * powers)
+    crossed = f <= 0.0
+    j = crossed.argmax(axis=1)
+    rays = np.flatnonzero(crossed[np.arange(samples), j])
+    if reach is not None and rays.size < samples:
+        # only gamma within rounding of 1 leaves the defect positive there
+        raise OutOfRange(f"the defect of {d} does not resolve its boundary")
+    j = j[rays]
+    # the bracket (a, b), b the newest point: the defect changes sign from
+    # a to b (> 0 at a and <= 0 at b to start)
+    b, fb = powers[j], f[rays, j]
+    a = np.where(j > 0, 0.5 * b, 0.0)
+    fa = np.where(j > 0, f[rays, j - 1], _defect(d, center))
+    u = u[rays]
+    t = np.empty(rays.size)
+    live, v = np.arange(rays.size), u  # the rays still shrinking, their directions
+    while True:
+        nb = np.nextafter(b, a)
+        done = (fb == 0.0) | (nb == a)
+        if done.any():
+            t[live[done]] = np.where(fb[done] == 0.0, b[done], 0.5 * (a[done] + b[done]))
+            keep = ~done
+            live, a, b, fa, fb, nb, v = (x[keep] for x in (live, a, b, fa, fb, nb, v))
+        if not live.size:
+            break
+        c = b - fb / (fb - fa) * (b - a)
+        # a secant point at or past an end (the root is within rounding of
+        # it) moves one float inside, so every step shrinks the bracket
+        na = np.nextafter(a, b)
+        c = np.minimum(np.maximum(c, np.minimum(na, nb)), np.maximum(na, nb))
+        fc = _defect(d, center + c * v)
+        flip = (fc > 0.0) != (fb > 0.0)
+        # Anderson–Björck: when c falls on b's side, the value at a is
+        # scaled by 1 - f(c)/f(b), or by 1/2 where that is not positive
+        m = 1.0 - fc / fb
+        m[m <= 0.0] = 0.5
+        fa *= m
+        fa[flip] = fb[flip]
+        a[flip] = b[flip]
+        b, fb = c, fc
+    z = center + t * u
+    return np.column_stack((z.real, z.imag))
 
 
 def reflected_domain(d):

@@ -113,11 +113,16 @@ class TestBasicCommands:
          "--max-indeterminate-fraction", "1.5"],
         ["verify", "--theorem", "herglotz", "--trials", "1",
          "--max-indeterminate-fraction=-0.1"],
+        ["domain", "boundary", "--spec", "limacon_i_closed:1", "--samples", "4"],
+        ["domain", "boundary", "--spec", "limacon_o_closed:1", "--samples", "4"],
+        ["domain", "boundary", "--spec", "omega:1e308,0,0.5", "--samples", "4"],
     ])
     def test_bad_input_is_usage_error(self, argv, capsys):
         # n = 0 used to divide by zero; a count of 0 ran the default or
         # nothing; a non-finite tau, point or tol printed NaN rows or a
-        # verdict, and a NaN indeterminate fraction turned its gate off
+        # verdict, and a NaN indeterminate fraction turned its gate off; the
+        # gamma = 1 closed limaçons printed their anchor once per ray, and a
+        # boundary past the float range printed no rows
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error:") and out == ""
@@ -253,6 +258,12 @@ class TestDomain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 33
+
+    def test_boundary_far_bounded_region_keeps_every_ray(self, capsys):
+        # the boundary reaches |z| = 1e7; rays past 1e6 were dropped
+        assert main(["domain", "boundary", "--spec", "omega:1,0,0.9999999",
+                     "--samples", "32"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 33
 
     def test_no_action_usage_error(self, capsys):
         assert main(["domain"]) == 2

@@ -8,6 +8,9 @@ import pytest
 from polyconv.errors import BadParams, OutOfRange
 from polyconv.poly import Polynomial
 from polyconv.domains import (
+    _FAR,
+    _defect,
+    _ray_anchor,
     BOUNDARY,
     IN,
     OUT,
@@ -169,6 +172,116 @@ class TestBoundaryAndReflection:
             z = rng.uniform(-4, 4) + 1j * rng.uniform(-4, 4)
             if z != 0 and contains(d, z) == OUT:
                 assert contains(r, 1.0 / np.conj(z)) in (IN, BOUNDARY)
+
+
+def reference_polyline(d, samples):
+    """boundary_polyline as a scalar loop: per ray, doubling to the first t
+    with defect <= 0 (rays of every region still inside at 1e6 dropped),
+    then 80 bisection steps.  The reference that the vectorized ray solve
+    must match."""
+    if d.kind == "COMPLEMENT":
+        return reference_polyline(d.inner, samples)
+    if d.kind in {"OMEGA", "OMEGA_CLOSED"}:
+        center = mobius(d.tau, d.gamma, 0.0)
+    elif d.kind in {"LIMACON_O", "LIMACON_O_CLOSED"}:
+        center = complex(-(3.0 + d.gamma))
+    else:
+        center = 0.0 + 0.0j
+    pts = []
+    for t in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
+        u = complex(math.cos(t), math.sin(t))
+        lo, hi = 0.0, 1.0
+        while _defect(d, center + hi * u) > 0 and hi < 1e6:
+            lo, hi = hi, hi * 2.0
+        if _defect(d, center + hi * u) > 0:
+            continue
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if _defect(d, center + mid * u) > 0:
+                lo = mid
+            else:
+                hi = mid
+        z = center + 0.5 * (lo + hi) * u
+        pts.append([z.real, z.imag])
+    return np.array(pts).reshape(-1, 2)
+
+
+def rounding_band(d, z):
+    """How far along its ray a boundary point z can move while the defect
+    stays within its rounding, 8 eps max(1, |z|), at the defect's slope
+    there: negligible where the boundary crosses the ray at an angle, wide
+    where the defect is flat, as on the far side of OMEGA with gamma near 1
+    (slope 1 - gamma) and on half-plane rays nearly parallel to its edge."""
+    if d.kind == "COMPLEMENT":
+        d = d.inner
+    center = _ray_anchor(d)[0]
+    u = (z - center) / np.abs(z - center)
+    h = 1e-6 * np.abs(z - center)
+    slope = np.abs(_defect(d, z + h * u) - _defect(d, z - h * u)) / (2.0 * h)
+    return 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(z)) / slope
+
+
+#: the algebra benchmark's regions, then far and unbounded OMEGA and
+#: limaçons at gamma = 0 and 0.9
+EQUIVALENCE_REGIONS = [
+    DomainSpec("UNIT_DISK_OPEN"), DomainSpec("UNIT_DISK_CLOSED"),
+    omega(1.0, 0.5), omega(2.0j, 0.25, closed=True), omega(0.5 - 1.0j, 0.9),
+    limacon_inner(0.25), limacon_inner(0.5, closed=True), limacon_inner(0.9),
+    limacon_outer(0.25), limacon_outer(0.5, closed=True), complement(omega(1.0, 0.5)),
+    omega(1.0, 0.99999), omega(0.5 - 1.0j, 0.99999, closed=True),
+    omega(1.0, 1.0), omega(0.5 - 1.0j, 1.0),
+    limacon_inner(0.0), limacon_outer(0.0), limacon_outer(0.9, closed=True),
+]
+
+
+class TestBoundaryRaySolve:
+    @pytest.mark.parametrize("samples", [1, 7, 32, 256])
+    def test_matches_scalar_bisection(self, samples):
+        for d in EQUIVALENCE_REGIONS:
+            got = boundary_polyline(d, samples)
+            want = reference_polyline(d, samples)
+            assert got.shape == want.shape, d
+            z = got[:, 0] + 1j * got[:, 1]
+            w = want[:, 0] + 1j * want[:, 1]
+            tol = 1e-12 * np.maximum(1.0, np.abs(w)) + rounding_band(d, w)
+            assert np.all(np.abs(z - w) <= tol), d
+
+    def test_defect_scalar_path_stays_python_float(self):
+        # contains calls _defect on one Python complex; that path must stay
+        # in Python floats, which cost less per operation than numpy scalars
+        for d in [DomainSpec("UNIT_DISK_OPEN"), DomainSpec("UNIT_DISK_CLOSED"),
+                  omega(1.0 - 0.5j, 0.3), omega(2.0j, 1.0, closed=True),
+                  limacon_inner(0.4), limacon_inner(1.0, closed=True),
+                  limacon_outer(0.4), limacon_outer(1.0, closed=True)]:
+            assert type(_defect(d, 0.3 - 0.2j)) is float, d.kind
+
+    def test_far_bounded_boundary_keeps_every_ray(self):
+        # the boundary reaches |z| = 1/(1 - gamma) = 1e7, past the 1e6 that
+        # marks an unbounded ray; 17 of 32 points came back
+        d = omega(1.0, 0.9999999)
+        pts = boundary_polyline(d, samples=32)
+        assert pts.shape == (32, 2)
+        z = pts[:, 0] + 1j * pts[:, 1]
+        assert np.max(np.abs(z)) > _FAR
+        assert np.all(np.abs(_defect(d, z)) <= 1e-12 * np.maximum(1.0, np.abs(z)))
+
+    def test_boundary_beyond_float_range_rejected(self):
+        with pytest.raises(OutOfRange):
+            boundary_polyline(omega(1e308, 0.5), samples=4)
+
+    @pytest.mark.parametrize("d", [limacon_inner(1.0, closed=True),
+                                   limacon_outer(1.0, closed=True)])
+    def test_degenerate_segments_rejected(self, d):
+        # the segments [-1, 0] and (-inf, -1] have no interior; the anchor
+        # came back once per ray
+        with pytest.raises(BadParams):
+            boundary_polyline(d, samples=4)
+
+    def test_no_crossing_ray_gives_empty_rows(self):
+        # the one ray points away from tau = -1 into the half-plane
+        pts = boundary_polyline(omega(-1.0, 1.0), samples=1)
+        assert pts.shape == (0, 2)
+        assert pts[:, 0].size == 0
 
 
 class TestSpecGuards:
