@@ -412,11 +412,13 @@ def in_D_second(P, Q, lp, closed=True):
     Once they are in the disk, H_theta vanishes at z on the circle exactly
     when A(z)/B(z) = tan(theta), so by the minimum principle for Im(A/B)
     outside the disk (the disk form of Hermite-Biehler) the pencil is in
-    the disk exactly when s = Im(A conj B) is one-signed on the circle:
-    strictly for the open class, touching 0 allowed for the closed one.
+    the disk exactly when s = Im(A conj B) keeps on the circle the sign of
+    Im(A/B) at infinity, which is that of sin(b - a), c_P = e^{ia}, c_Q =
+    e^{ib}, since |F_0| < |F_n| (B is negated where it is negative): strictly
+    for the open class, touching 0 allowed for the closed one.
     The margin is then the signed minimum of s / (|A|^2 + |B|^2) over the
-    circle: unitless, at most 1/2, positive for members and 0 exactly where
-    some H_theta has a zero on the circle.  A minimum of s within its
+    circle: unitless, in [-1/2, 1/2], positive for members and 0 exactly
+    where some H_theta has a zero on the circle.  A minimum of s within its
     rounding bound is indeterminate (closed: member, open: non-member).
     """
     lp.require_interior()
@@ -440,6 +442,8 @@ def in_D_second(P, Q, lp, closed=True):
             z = rs.outermost()
             return MembershipVerdict(label, False, "SECOND_CHAR", 1.0 - abs(z),
                                      {"theta": theta, "offending_root": complex(z)})
+    if (cQ * cP.conjugate()).imag < 0.0:
+        B = -1.0 * B
     return _margin_verdict(label, closed, "SECOND_CHAR", *_circle_sign(A.coeffs, B.coeffs))
 
 
@@ -628,10 +632,10 @@ def half_plane_criterion(f):
     """Re((f - a_0) / B) > 1/2 on the circle, B = a_n z^n - a_0 (so, by the
     maximum principle, outside the disk), decided by roots._circle_sign as
     s = Im(A conj B) = |B|^2 (Re((f - a_0) / B) - 1/2) > 0, A = i(f - (a_0 +
-    a_n z^n) / 2).  The quotient is 1 at infinity, so s is positive somewhere
-    and a member's margin, the least of s / (|A|^2 + |B|^2), lies in (0, 1/2];
-    a non-member's in [-1/2, 0].  A margin within rounding is indeterminate,
-    a non-member (the inequality is strict)."""
+    a_n z^n) / 2).  The quotient is 1 at infinity, where s > 0 orients the
+    test, and the margin, the least of s / (|A|^2 + |B|^2), lies in (0, 1/2]
+    for a member, in [-1/2, 0] for a non-member.  A margin within rounding
+    is indeterminate, a non-member (the inequality is strict)."""
     c, n = f.coeffs, f.nominal_degree
     a0, an = c[0], c[n]
     if abs(a0) >= abs(an):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import classes, domains, harness, herglotz, qconv
 from .errors import BadParams, NoConvergence, PolyconvError
-from .poly import LambdaParam, Polynomial
+from .poly import LambdaParam, Polynomial, complex_pairs
 from .roots import CIRCLE_TOL, find_roots
 
 
@@ -242,8 +242,7 @@ def _cmd_verify(args, cfg):
 
 def _cmd_herglotz(args, cfg):
     with open(args.coeffs) as fh:
-        pairs = json.load(fh)
-    coeffs = [complex(re, im) for re, im in pairs]
+        coeffs = complex_pairs(json.load(fh))
     h = herglotz.build_approximant(coeffs, args.k, args.r)
     if cfg.output_format == "csv":
         # error against the supplied Taylor series along growing radii
@@ -272,16 +271,12 @@ def main(argv=None):
                      ("circle_tol", "boundary_samples", "rng_seed", "output_format")
                      if getattr(args, k, None) is not None}
         cfg = replace(cfg, **overrides)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    if args.show_config:
-        _emit(args, json.dumps(asdict(cfg), indent=2))
-        return 0
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
+        if args.show_config:
+            _emit(args, json.dumps(asdict(cfg), indent=2))
+            return 0
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 2
         if args.command == "qcoef":
             _emit(args, _fmt(qconv.q_coefficient(args.n, args.k, args.lam)))
             return 0
@@ -295,9 +290,7 @@ def main(argv=None):
                 out = qconv.grace_szego(f, g)
             else:
                 if args.lam is None:
-                    print("error: --lambda required for mode lambda",
-                          file=sys.stderr)
-                    return 2
+                    raise BadParams("--lambda required for mode lambda")
                 out = qconv.lambda_convolve(f, g,
                                             LambdaParam(f.nominal_degree, args.lam))
             _emit(args, out.to_json())
@@ -339,8 +332,7 @@ def main(argv=None):
                 lines = ["re,im"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in pts]
                 _emit(args, "\n".join(lines))
                 return 0
-            print("error: domain needs an action", file=sys.stderr)
-            return 2
+            raise BadParams("domain needs an action")
         if args.command == "herglotz":
             return _cmd_herglotz(args, cfg)
         if args.command == "verify":
@@ -353,8 +345,6 @@ def main(argv=None):
             out = qconv.delta(p, LambdaParam(p.nominal_degree, args.lam))
             _emit(args, out.to_json())
             return 0
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return 2
     except NoConvergence as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -281,4 +281,4 @@ def reflected_domain(d):
     g = d.gamma
     if g == 1.0:
         raise OutOfRange("gamma = 1 reflection degenerates (tau' = 0)")
-    return DomainSpec(OMEGA_CLOSED, (g * g - 1.0) / np.conj(d.tau), g)
+    return DomainSpec(OMEGA_CLOSED, (g * g - 1.0) / d.tau.conjugate(), g)

@@ -50,10 +50,13 @@ def build_approximant(coeffs, k, r):
     """Weights and nodes from the degree-k truncation evaluated at radius r.
 
     Requires at least k+1 Taylor coefficients with coeffs[0] = 1 and
-    Re S_k(rz) > 0 on the circle (checked on a 4m-point grid).  The weight
-    sum equals 1 by the partial-fraction identity; it is asserted, never
-    rescaled, so a failure flags a genuine numerical breakdown.
+    Re S_k(rz) > 0 on the circle (checked on a 4m-point grid, taken by one
+    inverse FFT).  The weight sum equals 1 by the partial-fraction identity;
+    it is asserted, never rescaled, so a failure flags a genuine numerical
+    breakdown.
     """
+    if k < 1:
+        raise OutOfRange(f"k must be >= 1, got {k}")
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size < k + 1:
         raise OutOfRange(f"need at least {k + 1} coefficients, got {c.size}")
@@ -64,9 +67,8 @@ def build_approximant(coeffs, k, r):
     m = 2 * k
     s = c[: k + 1] * r ** np.arange(k + 1)  # S_k(r z)
 
-    grid = np.exp(2j * np.pi * np.arange(4 * m) / (4 * m))
-    vals = np.polyval(s[::-1], grid)
-    worst = float(np.min(vals.real))
+    v = np.fft.ifft(s, 4 * m).real * (4 * m)  # Re S_k(rz) at e^{2 pi i l / 4m}
+    worst = float(np.min(v))
     if worst <= 0.0:
         raise PositivityLost(
             f"Re S_k(rz) reaches {worst:.3e} on the circle; raise k or lower r")
@@ -75,16 +77,17 @@ def build_approximant(coeffs, k, r):
     # so P(w) = 2 Re S(w) there.  The residue of P(z)/(1-z^m) at the pole w
     # carries the kernel 1/(1 - conj(w) z): each weight P(w)/(2m) pairs with
     # the conjugate node, which matters whenever f has non-real coefficients.
-    pts = np.exp(2j * np.pi * np.arange(1, m + 1) / m)
-    sv = np.polyval(s[::-1], pts)
-    weights = sv.real / m
-    nodes = np.conj(pts)
+    # w = e^{2 pi i j / m}, j = 1..m, is grid point 4j mod 4m
+    weights = np.roll(v[::4], -1) / m
+    nodes = np.conj(np.exp(2j * np.pi * np.arange(1, m + 1) / m))
     return HerglotzApproximant(m, tuple(float(w) for w in weights),
                                tuple(complex(w) for w in nodes))
 
 
 def folded_polynomial(coeffs, k, r):
     """The self-inversive P(z) = S_k(rz) + z^k (S_k(rz))^{*k} itself."""
+    if k < 1:
+        raise OutOfRange(f"k must be >= 1, got {k}")
     c = np.asarray(list(coeffs), dtype=complex)
     if c.size < k + 1:
         raise OutOfRange(f"need at least {k + 1} coefficients, got {c.size}")
@@ -99,8 +102,7 @@ def evaluate_approximant(h, z):
     z = complex(z)
     if abs(z) >= 1.0:
         raise OutOfDomain(f"|z|={abs(z)} >= 1")
-    w = np.asarray(h.nodes)
-    return complex(np.sum(np.asarray(h.weights) * (1.0 + w * z) / (1.0 - w * z)))
+    return complex(evaluate_approximant_many(h, [z])[0])
 
 
 def evaluate_approximant_many(h, zs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,18 +161,23 @@ class Polynomial:
         if not (isinstance(obj, dict) and type(obj.get("n")) is int
                 and isinstance(obj.get("coeffs"), list)):
             raise ValueError('expected {"n": <int>, "coeffs": [[re, im], ...]}')
-        n = obj["n"]
-        pairs = obj["coeffs"]
-        if len(pairs) != n + 1:
-            raise ValueError(f"expected {n + 1} coefficients, got {len(pairs)}")
-        coeffs = []
-        for k, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
-                raise ValueError(f"coefficient {k} must be a [re, im] pair of numbers, "
-                                 f"got {pair!r}")
-            coeffs.append(complex(*pair))
-        return cls(coeffs, n)
+        # the constructor rejects a count of pairs other than n + 1
+        return cls(complex_pairs(obj["coeffs"]), obj["n"])
+
+
+def complex_pairs(pairs):
+    """The complex numbers of a JSON list of [re, im] pairs; ValueError on
+    anything else, and on a number past the float range (NaN, Infinity)."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"expected a list of [re, im] pairs, got {type(pairs).__name__}")
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+            raise ValueError(f"coefficient {k} must be a [re, im] pair of numbers, "
+                             f"got {pair!r}")
+        if not all(abs(x) <= sys.float_info.max for x in pair):
+            raise ValueError(f"non-finite coefficient {k}: {pair!r}")
+    return [complex(*pair) for pair in pairs]
 
 
 @dataclass(frozen=True)

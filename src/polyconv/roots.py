@@ -412,14 +412,15 @@ def _circle_nodes(size):
 
 def _circle_sign(A, B):
     """Certified sign of s(phi) = Im(A conj B)(e^{i phi}) on the unit circle,
-    which decides the third and second routes and the half-plane criterion.
+    which decides the third and second routes and the half-plane criterion:
+    whether s >= 0 everywhere.  Each caller orients its pair so that
+    Im(A/B) > 0 at infinity (the disk form of Hermite-Biehler).
 
     A and B (ascending coefficients of one length d + 1) are evaluated on
     M = max(64, 32(d + 1)) nodes, never through the product coefficients of
     s, whose rounding swamps s where A and B nearly share a zero by the
-    circle.  g = s / (|a|^2 + |b|^2) is oriented by sigma, the sign of its
-    larger extreme.  Each node minimum of sigma*g is then refined on its own,
-    in scalar complex arithmetic, by Newton's method on
+    circle.  Each node minimum of g = s / (|a|^2 + |b|^2) is then refined on
+    its own, in scalar complex arithmetic, by Newton's method on
     g' = (s'q - s q')/q^2, q = |a|^2 + |b|^2, from the vertex of the parabola
     through the node and its two neighbours, bracketed to one node spacing
     either side and guarded by bisection.  A and B and their first two
@@ -427,9 +428,9 @@ def _circle_sign(A, B):
     of 1e-13, or once the step cannot lower g by more than its rounding,
     |g' dx| q <= |a| e_B + |b| e_A + e_A e_B, the bound on the rounding of s
     with e_X = 4(d+1) eps sum|X_k|; a refined value above its node's keeps
-    the node.  Returns (margin, indeterminate, z): the least sigma*g and its
-    circle point z; indeterminate unless every minimum clears its bound, or
-    one falls below minus its bound while a node clears it.
+    the node.  Returns (margin, indeterminate, z): the least g, the signed
+    minimum in [-1/2, 1/2], and its circle point z; indeterminate when no
+    minimum falls below minus its bound and not every one clears it.
     """
     AB = np.stack([A, B], axis=1)
     eA, eB = (4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)).tolist()
@@ -438,11 +439,8 @@ def _circle_sign(A, B):
     ra, rb = np.abs(a), np.abs(b)
     s0 = np.imag(a * np.conj(b))
     q = ra ** 2 + rb ** 2
-    g0 = np.divide(s0, q, out=np.zeros_like(s0), where=q > 0.0)
+    t = np.divide(s0, q, out=np.zeros_like(s0), where=q > 0.0)  # g at the nodes
     err0 = ra * eB + rb * eA + eA * eB
-    sigma = 1.0 if g0.max() >= -g0.min() else -1.0
-    clears = bool(np.any(sigma * s0 > err0))
-    t = sigma * g0
     # the node minima (a tie counts at its first node) and the least node
     tt = np.concatenate([t[-1:], t, t[:1]])
     low = (t < tt[:-2]) & (t <= tt[2:])
@@ -479,8 +477,8 @@ def _circle_sign(A, B):
                 dds = (dda * bc + 2.0 * da * dbc + a * ddb.conjugate()).imag
                 dq = 2.0 * (da * ac + db * bc).real
                 ddq = 2.0 * (dda * ac + ddb * bc + da * da.conjugate() + db * dbc).real
-                dg = sigma * (ds * q - s * dq) / (q * q)
-                ddg = sigma * (dds * q - s * ddq) / (q * q) - 2.0 * dq * dg / q
+                dg = (ds * q - s * dq) / (q * q)
+                ddg = (dds * q - s * ddq) / (q * q) - 2.0 * dq * dg / q
                 if dg < 0.0:
                     lo = xs
                 elif dg > 0.0:
@@ -495,10 +493,10 @@ def _circle_sign(A, B):
             xs = nxt
         g = s / q if q > 0.0 else 0.0
         # never report a minimum above the node it started from
-        if sigma * g > tn:
-            s, g, err, z = sn, sigma * tn, en, complex(math.cos(xn), math.sin(xn))
-        crossed = crossed or sigma * s < -err
-        cleared = cleared and sigma * s > err
-        if not sigma * g >= least:  # sets `at` on the first minimum, NaN or not
-            least, at = sigma * g, z
-    return least, not (clears and crossed) and not cleared, at
+        if g > tn:
+            s, g, err, z = sn, tn, en, complex(math.cos(xn), math.sin(xn))
+        crossed = crossed or s < -err
+        cleared = cleared and s > err
+        if not g >= least:  # sets `at` on the first minimum, NaN or not
+            least, at = g, z
+    return least, not crossed and not cleared, at

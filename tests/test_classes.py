@@ -373,6 +373,39 @@ class TestSecondRouteAgainstPencilScan:
                         == in_D_second(*split(F), lp, closed).as_dict())
 
 
+def test_second_route_on_non_canonical_splits():
+    # P = (F^*n - c_Q^2 F) / (c_P^2 - c_Q^2) and Q = (F^*n - c_P^2 F) /
+    # (c_P^2 - c_Q^2) split F for any distinct phases; the route orients its
+    # pencil by sin(b - a), c_P = e^{ia}, c_Q = e^{ib}, and both signs occur
+    rng = np.random.default_rng(7)
+    orient = {True: 0, False: 0}
+    decided = {True: 0, False: 0}
+    by_sign = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 7))
+        lp = LambdaParam(n, float(rng.uniform(0.1, 0.9)) * TP / n)
+        F = Polynomial.from_roots(rng.uniform(0.2, 0.9, n) * np.exp(1j * rng.uniform(0, TP, n)))
+        a, b = rng.uniform(0.0, math.pi, 2)
+        if abs(a - b) < 0.2:
+            continue
+        cP2, cQ2 = cmath.exp(2j * a), cmath.exp(2j * b)
+        P = (F.n_inverse() - F * cQ2) * (1.0 / (cP2 - cQ2))
+        Q = (F.n_inverse() - F * cP2) * (1.0 / (cP2 - cQ2))
+        orient[b > a] += 1
+        for closed in (True, False):
+            v = in_D_second(P, Q, lp, closed)
+            ref = in_D_second(*split(F), lp, closed)
+            assert (v.member, v.indeterminate) == (ref.member, ref.indeterminate), (lp, closed)
+            assert (v.margin > 0.0) == (ref.margin > 0.0), (lp, closed, v.margin, ref.margin)
+            decided[ref.member] += not ref.indeterminate
+            if v.member or "circle_point" in v.witnesses:  # decided by the sign test
+                by_sign += 1
+                assert -0.5 <= v.margin <= 0.5
+    assert min(orient.values()) >= 20, orient
+    assert min(decided.values()) >= 20, decided
+    assert by_sign >= 20
+
+
 def test_second_route_halves_need_no_root_find(crowded_split):
     # find_roots merges three of Q's unimodular zeros into one triple zero
     # inside the circle, which the route took for NotOnCircle.  Once F's
@@ -1014,6 +1047,61 @@ class TestHalfPlane:
     def test_hypothesis_guard(self):
         with pytest.raises(HypothesisViolated):
             half_plane_criterion(Polynomial([1.0, 0, 1.0], 2))
+
+
+def dense_g(A, B, count=65536):
+    """g = Im(A conj B) / (|A|^2 + |B|^2) on count equally spaced circle
+    points, and half the largest second difference of g there: the grid
+    minimum is above the true one by at most a quarter of that."""
+    z = np.exp(2j * np.pi * np.arange(count) / count)
+    a = np.polyval(np.asarray(A)[::-1], z)
+    b = np.polyval(np.asarray(B)[::-1], z)
+    g = (a * np.conj(b)).imag / (np.abs(a) ** 2 + np.abs(b) ** 2)
+    return g, float(np.max(np.abs(np.roll(g, 1) - 2.0 * g + np.roll(g, -1)))) / 2.0
+
+
+class TestSignedMinimumMargins:
+    """A decided non-member's margin is the signed minimum of g on the
+    circle, also where the negative extreme of g is the larger in modulus
+    (the margin read -max g there when the sign test guessed orientation)."""
+
+    def check(self, v, A, B):
+        g, res = dense_g(A, B)
+        assert g.min() - res <= v.margin <= g.min() + 1e-12, (v.margin, g.min(), res)
+        return -g.min() > g.max()
+
+    def test_third_route(self):
+        rng = np.random.default_rng(2026)
+        count = larger_negative = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 6))
+            lp = LambdaParam(n, float(rng.uniform(0.1, 0.9)) * TP / n)
+            F = Polynomial.from_roots(rng.uniform(0.3, 0.95, n)
+                                      * np.exp(1j * rng.uniform(0, TP, n)))
+            v = in_D_third(F, lp, closed=False)
+            if v.member or v.indeterminate or "circle_point" not in v.witnesses:
+                continue
+            h = lp.lam / 2.0
+            count += 1
+            larger_negative += self.check(v, cmath.exp(-1j * n * h) * F.rotate(h).coeffs,
+                                          F.rotate(-h).coeffs)
+        assert count >= 50 and larger_negative >= 20, (count, larger_negative)
+
+    def test_half_plane_criterion(self):
+        rng = np.random.default_rng(2026)
+        count = larger_negative = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            c[n] = 1.0
+            c[0] *= 0.9 / max(1.0, abs(c[0]))
+            v = half_plane_criterion(Polynomial(c, n))
+            if v.member or v.indeterminate:
+                continue
+            count += 1
+            larger_negative += self.check(v, 1j * np.r_[c[0] / 2, c[1:n], c[n] / 2],
+                                          np.r_[-c[0], np.zeros(n - 1), c[n]])
+        assert count >= 50 and larger_negative >= 20, (count, larger_negative)
 
 
 class TestExtremalFamily:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polyconv
-from polyconv import cli
+from polyconv import cli, harness
 from polyconv.cli import Config, main
 from polyconv.errors import NoConvergence
 from polyconv.poly import Polynomial
@@ -174,6 +174,29 @@ class TestBasicCommands:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["convolve", "{bad}", "{good}"],
+        ["convolve", "--mode", "lambda", "--lambda", "0.5", "{good}", "{bad}"],
+        ["inverse", "{bad}"],
+        ["delta", "--lambda", "0.5", "{bad}"],
+        ["roots", "{bad}"],
+        ["domain", "roots", "--spec", "unit_disk", "{bad}"],
+        *(["classify", "--class", "D", "--lambda", "0.5", "--method", m, "{bad}"]
+          for m in METHODS),
+        ["classify", "--class", "D", "--lambda", repr(math.pi), "{bad}"],
+        ["classify", "--class", "T", "--lambda", "0.5", "{bad}"],
+    ])
+    def test_nan_coefficient_is_usage_error(self, tmp_path, argv, capsys):
+        # convolve, inverse and delta printed NaN and exited 0; classify by
+        # the oracle and at lambda = 2 pi / n returned a decided verdict
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"n": 2, "coeffs": [[1, 0], [NaN, 0], [0.25, 0]]}')
+        good = write_poly(tmp_path / "good.json", Polynomial([0.25, 0.0, 1.0], 2))
+        argv = [{"{bad}": str(bad), "{good}": good}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: non-finite coefficient 1") and out == ""
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["--frobnicate"])
@@ -301,6 +324,26 @@ class TestHerglotzCommand:
         f.write_text(json.dumps([[1.0, 0.0], [5.0, 0.0], [0.0, 0.0]]))
         assert main(["herglotz", "--coeffs", str(f), "--k", "2", "--r", "0.9"]) == 2
 
+    @pytest.mark.parametrize("text, k, needle", [
+        ('{"ab": 1}', 2, "list of [re, im] pairs"),
+        ("5", 2, "list of [re, im] pairs"),
+        ('[[1, "x"], [0.5, 0]]', 2, "coefficient 0"),
+        ("[[true, 0], [0.5, 0]]", 2, "coefficient 0"),
+        ("[[1, 0], [NaN, 0], [0.5, 0]]", 2, "non-finite coefficient 1"),
+        ("[[1, 0], [0.5, Infinity], [0.5, 0]]", 2, "non-finite coefficient 1"),
+        ("[[1, 0], [1" + "0" * 400 + ", 0], [0.5, 0]]", 2, "non-finite coefficient 1"),
+        ("[[1, 0], [0.5, 0], [0.25, 0]]", 0, "k must be >= 1"),
+        ("[[1, 0], [0.5, 0], [0.25, 0]]", -1, "k must be >= 1"),
+    ], ids=["dict", "number", "string", "bool", "nan", "infinity", "huge-int", "k0", "k-1"])
+    def test_bad_coefficients_or_k_are_usage_errors(self, tmp_path, text, k, needle, capsys):
+        # the first three ended in a traceback, true read as 1, NaN and
+        # Infinity gave NaN weights with exit 0, and k < 1 failed in numpy
+        f = tmp_path / "bad.json"
+        f.write_text(text)
+        assert main(["herglotz", "--coeffs", str(f), "--k", str(k), "--r", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") and needle in err and out == ""
+
 
 class TestVerify:
     def test_single_point_pass(self, capsys):
@@ -323,6 +366,29 @@ class TestVerify:
         assert main(["verify", "--theorem", theorem, "--trials", "1", *given]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"needs {missing}" in err
+
+    @pytest.mark.parametrize("failures, indeterminate, fraction, code", [
+        (1, 0, "0.5", 1),  # a failed trial
+        (0, 3, "0.5", 1),  # 3 of 4 trials indeterminate, above the fraction
+        (0, 3, "0.75", 0),  # ... and at it
+    ])
+    def test_failed_or_undecided_trials_exit_one(self, monkeypatch, capsys, failures,
+                                                 indeterminate, fraction, code):
+        def run(n, lam, trials, seed):
+            rep = harness.TrialReport("suffridge", seed=seed)
+            for t in range(trials):
+                if t < indeterminate:
+                    rep.skip()
+                elif t < indeterminate + failures:
+                    rep.record(-1.0, {"trial": t})
+                else:
+                    rep.record(1.0)
+            return rep
+        monkeypatch.setattr(harness, "run_suffridge_trial", run)
+        assert main(["verify", "--theorem", "suffridge", "--n", "3", "--lambda", "0.5",
+                     "--trials", "4", "--max-indeterminate-fraction", fraction]) == code
+        rep, = json.loads(capsys.readouterr().out)
+        assert (rep["failures"], rep["indeterminate"]) == (failures, indeterminate)
 
     def test_limacon_point(self):
         assert main(["verify", "--theorem", "limacon", "--tau", "0,2",

@@ -161,6 +161,9 @@ class TestBoundaryAndReflection:
         assert abs(r.tau - (0.4 ** 2 - 1.0) / np.conj(2.0j)) < 1e-15
         with pytest.raises(OutOfRange):
             reflected_domain(omega(1.0, 1.0))
+        # a Python complex tau keeps _defect on Python floats, not numpy scalars
+        assert type(r.tau) is complex
+        assert type(_defect(r, 0.3 + 0.2j)) is float
 
     def test_reflection_contains_inverted_exterior(self):
         # 1/conj(w) for w outside Omega lands in the reflected region

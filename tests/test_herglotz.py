@@ -89,6 +89,30 @@ class TestBuild:
         with pytest.raises(OutOfRange):
             build_approximant([1.0], k=4, r=0.5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, k):
+        # both used to fail inside numpy on an empty grid
+        with pytest.raises(OutOfRange, match="k must be >= 1"):
+            build_approximant([1.0, 0.5], k=k, r=0.5)
+        with pytest.raises(OutOfRange, match="k must be >= 1"):
+            folded_polynomial([1.0, 0.5], k=k, r=0.5)
+
+    def test_weights_are_the_truncation_at_the_nodes(self):
+        # weight j is Re S_k(r w_j) / m at w_j = e^{2 pi i j / m}, read off
+        # the inverse FFT's 4m-point grid; node j is conj(w_j)
+        rng = np.random.default_rng(26)
+        for k in (1, 4, 8, 16, 32, 64):
+            b = rng.uniform(0.3, 0.7, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+            w = rng.dirichlet(np.ones(3))
+            c = [1.0] + [2.0 * complex(np.sum(w * b ** j)) for j in range(1, k + 1)]
+            r = default_schedule(5)[1]
+            h = build_approximant(c, k, r)
+            m = 2 * k
+            pts = np.exp(2j * np.pi * np.arange(1, m + 1) / m)
+            s = np.asarray(c) * r ** np.arange(k + 1)
+            assert np.max(np.abs(np.array(h.weights) - np.polyval(s[::-1], pts).real / m)) < 1e-15
+            assert h.nodes == tuple(complex(z) for z in np.conj(pts))
+
 
 class TestApproximantObject:
     def test_rejects_odd_m(self):

@@ -542,7 +542,8 @@ def test_find_roots_matches_reference_bit_for_bit():
 def zoom_circle_sign(A, B, zooms=6):
     """_circle_sign with each node minimum refined on a 33-point grid zoomed
     `zooms` times by 16, as it was before Newton's method replaced the
-    zooms.  Returns (margin, indeterminate, least node value)."""
+    zooms, and oriented as it is now: it tests s >= 0.  Returns (margin,
+    indeterminate, least node value)."""
     k = np.arange(len(A))
     AB = np.stack([A, B], axis=1)
     eA, eB = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)
@@ -558,22 +559,17 @@ def zoom_circle_sign(A, B, zooms=6):
     m = max(64, 32 * len(A))
     x = 2.0 * np.pi * np.arange(m) / m
     s, g, err = sign(x)
-    sigma = 1.0 if g.max() >= -g.min() else -1.0
-    node_min = float(np.min(sigma * g))
-    clears = bool(np.any(sigma * s > err))
-    t = sigma * g
-    x = x[np.union1d(np.flatnonzero((t < np.roll(t, 1)) & (t <= np.roll(t, -1))),
-                     [np.argmin(t)])]
+    node_min = float(np.min(g))
+    x = x[np.union1d(np.flatnonzero((g < np.roll(g, 1)) & (g <= np.roll(g, -1))),
+                     [np.argmin(g)])]
     w = 2.0 * np.pi / m
     for _ in range(zooms):
         pts = x[:, None] + w * np.linspace(-1.0, 1.0, 33)
-        x = pts[np.arange(x.size), np.argmin(sigma * sign(pts)[1], axis=1)]
+        x = pts[np.arange(x.size), np.argmin(sign(pts)[1], axis=1)]
         w /= 16.0
     s, g, err = sign(x)
-    crossed = clears and bool(np.any(sigma * s < -err))
-    i = int(np.argmin(sigma * g))
-    return (float(sigma * g[i]), not crossed and not bool(np.all(sigma * s > err)),
-            node_min)
+    i = int(np.argmin(g))
+    return float(g[i]), not bool(np.any(s < -err)) and not bool(np.all(s > err)), node_min
 
 
 #: s, s', s'', q, q', q'' (derivatives in phi, q = |a|^2 + |b|^2) as sums of
@@ -600,8 +596,9 @@ _FORM_IM, _FORM_RE = (
 def reference_circle_sign(A, B):
     """_circle_sign with every node minimum refined at once by stacked numpy
     Newton steps, which stop only at a step of 1e-13 for all of them, as it
-    was before the scalar steps with their rounding-level stop.  Returns
-    (margin, indeterminate, least node value, circle point of the margin)."""
+    was before the scalar steps with their rounding-level stop, and oriented
+    as it is now: it tests s >= 0.  Returns (margin, indeterminate, least
+    node value, circle point of the margin)."""
     k = np.arange(len(A))
     AB = np.stack([A, B], axis=1)
     eA, eB = 4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)
@@ -614,10 +611,7 @@ def reference_circle_sign(A, B):
 
     m = max(64, 32 * len(A))
     x = 2.0 * np.pi * np.arange(m) / m
-    s0, g0, err0 = sign(*(np.exp(1j * np.multiply.outer(x, k)) @ AB).T)
-    sigma = 1.0 if g0.max() >= -g0.min() else -1.0
-    clears = bool(np.any(sigma * s0 > err0))
-    t = sigma * g0
+    s0, t, err0 = sign(*(np.exp(1j * np.multiply.outer(x, k)) @ AB).T)
     tt = np.concatenate([t[-1:], t, t[:1]])
     low = (t < tt[:-2]) & (t <= tt[2:])
     low[np.argmin(t)] = True
@@ -636,8 +630,8 @@ def reference_circle_sign(A, B):
             v = np.exp(1j * np.multiply.outer(xs, k)) @ cols
             p = v[:, _FORM_X] * np.conj(v[:, _FORM_Y])
             s, ds, dds, q, dq, ddq = (p.imag @ _FORM_IM + p.real @ _FORM_RE).T
-            dg = sigma * (ds * q - s * dq) / q**2
-            ddg = sigma * (dds * q - s * ddq) / q**2 - 2.0 * dq * dg / q
+            dg = (ds * q - s * dq) / q**2
+            ddg = (dds * q - s * ddq) / q**2 - 2.0 * dq * dg / q
             lo = np.where(dg < 0.0, xs, lo)
             hi = np.where(dg > 0.0, xs, hi)
             nxt = xs - dg / ddg
@@ -646,14 +640,13 @@ def reference_circle_sign(A, B):
             if np.abs(nxt - xs).max() <= 1e-13:
                 break
     s, g, err = sign(v[:, 0], v[:, 1])
-    node = sigma * g > t0
+    node = g > t0
     s = np.where(node, s0[i], s)
-    g = np.where(node, g0[i], g)
+    g = np.where(node, t[i], g)
     err = np.where(node, err0[i], err)
     xs = np.where(node, x[i], xs)
-    crossed = clears and bool(np.any(sigma * s < -err))
-    j = int(np.argmin(sigma * g))
-    return (float(sigma * g[j]), not crossed and not bool(np.all(sigma * s > err)),
+    j = int(np.argmin(g))
+    return (float(g[j]), not bool(np.any(s < -err)) and not bool(np.all(s > err)),
             float(t.min()), complex(np.exp(1j * xs[j])))
 
 
