@@ -1,5 +1,7 @@
 """Command line interface: subcommands, exit codes, config handling."""
 
+import cmath
+import hashlib
 import json
 import math
 import os
@@ -318,6 +320,22 @@ class TestHerglotzCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "radius,sup_error"
         assert len(lines) == 19
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "066d5c81af5dbb9d99b31a55471e4116065f6f085351a6fbb1468b8a42cb7b6f"),
+        ("csv", "472210d475df62997d7922d48b725415e52f57144b151089c60d9fece1d4a6d0"),
+    ])
+    def test_output_bytes_pinned(self, tmp_path, capsys, fmt, digest):
+        # weights, nodes and the error profile must not drift between versions
+        b = 0.6 * cmath.exp(0.7j)
+        pairs = [[1.0, 0.0]] + [[(2 * b ** j).real, (2 * b ** j).imag]
+                                for j in range(1, 13)]
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(pairs))
+        assert main(["--output-format", fmt, "herglotz", "--coeffs", str(f),
+                     "--k", "12", "--r", "0.85"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_positivity_failure_exit_two(self, tmp_path):
         f = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 """Kernel-combination approximation of positive-real-part disk functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,32 @@ from polyconv.herglotz import (
 def geometric_coeffs(b, count):
     # f(z) = (1 + bz)/(1 - bz) = 1 + 2 sum_{k>=1} b^k z^k has Re f > 0
     return [1.0] + [2.0 * b ** k for k in range(1, count)]
+
+
+def reference_approximant(coeffs, k, r):
+    """(m, weights, nodes) by the first formulas: np.roll of the 4m-point
+    grid, nodes by np.exp on every build; PositivityLost as build raises."""
+    m = 2 * k
+    s = np.asarray(coeffs, dtype=complex)[: k + 1] * r ** np.arange(k + 1)
+    v = np.fft.ifft(s, 4 * m).real * (4 * m)
+    if float(np.min(v)) <= 0.0:
+        raise PositivityLost("reference: Re S_k(rz) not positive")
+    weights = np.roll(v[::4], -1) / m
+    nodes = np.conj(np.exp(2j * np.pi * np.arange(1, m + 1) / m))
+    return m, tuple(float(w) for w in weights), tuple(complex(w) for w in nodes)
+
+
+def reference_values(weights, nodes, zs):
+    """The combination at zs by the first evaluation, two np.outer calls."""
+    zs = np.asarray(zs, dtype=complex)
+    w, s = np.asarray(nodes), np.asarray(weights)
+    return np.sum(s * (1.0 + np.outer(zs, w)) / (1.0 - np.outer(zs, w)), axis=1)
+
+
+def measure_coeffs(weights, points, count):
+    """Taylor coefficients of sum_j weights[j] (1 + points[j] z)/(1 - points[j] z)."""
+    powers = points[None, :] ** np.arange(1, count)[:, None]
+    return np.concatenate([[1.0 + 0.0j], 2.0 * powers @ weights])
 
 
 class TestBuild:
@@ -85,6 +112,22 @@ class TestBuild:
         with pytest.raises(OutOfRange):
             build_approximant([1.0, 0.0], k=1, r=1.0)
 
+    @pytest.mark.parametrize("coeffs, needle", [
+        ([1.0, math.nan, 0.25], r"non-finite coefficient \(?nan.* of z\^1"),
+        ([1.0, 0.5, complex(0.0, math.inf), 9.0], r"of z\^2"),
+        ([math.nan, 0.5, 0.25], r"of z\^0"),
+    ])
+    def test_non_finite_coefficient(self, coeffs, needle):
+        # the NaN used to pass the positivity test and give NaN weights
+        with pytest.raises(OutOfRange, match=needle):
+            build_approximant(coeffs, 2, 0.5)
+        with pytest.raises(OutOfRange, match=needle):
+            folded_polynomial(coeffs, 2, 0.5)
+
+    def test_non_finite_coefficient_beyond_k_is_not_read(self):
+        h = build_approximant([1.0, 0.5, 0.25, math.nan], 2, 0.5)
+        assert h == build_approximant([1.0, 0.5, 0.25], 2, 0.5)
+
     def test_too_few_coeffs(self):
         with pytest.raises(OutOfRange):
             build_approximant([1.0], k=4, r=0.5)
@@ -114,6 +157,40 @@ class TestBuild:
             assert h.nodes == tuple(complex(z) for z in np.conj(pts))
 
 
+class TestBitExact:
+    # the cached nodes, the concatenated grid read and the one-outer
+    # evaluation give the first formulas' bits, not merely close values
+    @pytest.mark.parametrize("style", ["algebra", "trial"])
+    def test_matches_reference_formulas(self, style):
+        rng = np.random.default_rng(27 if style == "algebra" else 28)
+        compared = 0
+        for k in range(1, 65):
+            n = int(rng.integers(2, 6))
+            w = rng.dirichlet(np.ones(n))
+            if style == "algebra":
+                b = rng.uniform(0.3, 0.7, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+                zs = 0.5 * np.exp(2j * np.pi * np.arange(48) / 48)
+            else:  # point masses on the circle, as the herglotz trial draws
+                b = np.exp(2j * np.pi * rng.uniform(size=n))
+                zs = 0.5 * np.exp(2j * np.pi * np.linspace(0, 1, 64, endpoint=False))
+            c = measure_coeffs(w, b, k + 1)
+            r = float(rng.uniform(0.5, 0.97))
+            try:
+                m, weights, nodes = reference_approximant(c, k, r)
+            except PositivityLost:
+                with pytest.raises(PositivityLost):
+                    build_approximant(c, k, r)
+                continue
+            h = build_approximant(c, k, r)
+            assert h.m == m and h.weights == weights and h.nodes == nodes
+            assert h == HerglotzApproximant(m, weights, nodes)
+            assert repr(h) == f"HerglotzApproximant(m={m}, weights={weights!r}, nodes={nodes!r})"
+            assert np.array_equal(evaluate_approximant_many(h, zs),
+                                  reference_values(weights, nodes, zs))
+            compared += 1
+        assert compared >= 40, compared
+
+
 class TestApproximantObject:
     def test_rejects_odd_m(self):
         with pytest.raises(OutOfRange):
@@ -127,6 +204,22 @@ class TestApproximantObject:
         with pytest.raises(PositivityLost):
             HerglotzApproximant(2, (0.6, 0.6), (1.0, -1.0))
 
+    @pytest.mark.parametrize("weights", [(math.nan, math.nan), (math.nan, 1.0),
+                                         (math.inf, 0.5)])
+    def test_rejects_non_finite_weights(self, weights):
+        # NaN passed both the sign test and the sum test
+        with pytest.raises(PositivityLost):
+            HerglotzApproximant(2, weights, (1.0, -1.0))
+
+    @pytest.mark.parametrize("m, weights, nodes", [
+        (4, (0.5, 0.5), (1.0, -1.0)),
+        (2, (0.5, 0.5), (1.0,)),
+        (2, (0.25, 0.25, 0.5), (1.0, -1.0)),
+    ])
+    def test_rejects_wrong_counts(self, m, weights, nodes):
+        with pytest.raises(OutOfRange, match="needs"):
+            HerglotzApproximant(m, weights, nodes)
+
 
 class TestEvaluation:
     def test_outside_disk_rejected(self):
@@ -135,6 +228,18 @@ class TestEvaluation:
             evaluate_approximant(h, 1.0)
         with pytest.raises(OutOfDomain):
             evaluate_approximant_many(h, [0.2, 1.2])
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan),
+                                   complex(math.inf, 0.0)])
+    def test_non_finite_point_rejected(self, z):
+        # NaN gave NaN and a RuntimeWarning
+        h = build_approximant([1.0, 0.5, 0.25], k=2, r=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain):
+                evaluate_approximant(h, z)
+            with pytest.raises(OutOfDomain):
+                evaluate_approximant_many(h, [0.2, z])
 
     def test_vectorized_matches_scalar(self):
         h = build_approximant(geometric_coeffs(0.5, 8), k=6, r=0.8)
