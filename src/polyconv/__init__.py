@@ -36,7 +36,6 @@ from .qconv import (
 )
 from .roots import RootSet, arg_separation, find_roots, interspersed
 from .classes import (
-    CharacterizationPolys,
     MembershipVerdict,
     build_char_polys,
     eq8_oracle,

@@ -86,14 +86,6 @@ class MembershipVerdict:
         }
 
 
-@dataclass(frozen=True)
-class CharacterizationPolys:
-    """The two degree-2n products whose unimodular zeros decide membership."""
-
-    T: Polynomial
-    S: Polynomial | None = None
-
-
 def _label(base, closed):
     return f"{base}_closed" if closed else f"{base}_open"
 
@@ -164,21 +156,18 @@ def is_lambda_extremal(p, lp):
 # -- characterization polynomials -------------------------------------------
 
 
-def build_char_polys(F, lp, P=None, Q=None):
-    """T := F_+ (F^*n)_- - F_- (F^*n)_+ and, when a P - Q split is given,
-    S := P_+ Q_- - P_- Q_+ (both of nominal degree 2n).
+def build_char_polys(F, lp):
+    """T := F_+ (F^*n)_- - F_- (F^*n)_+, of nominal degree 2n, where
+    F_+- is F rotated by +-lambda/2.
 
-    No route builds them: on the circle T(z) = 2i z^n s(z) with
+    No route builds it: on the circle T(z) = 2i z^n s(z) with
     s = Im(e^{-inh} F_+ conj F_-), whose sign in_D_third decides directly.
+    Only the tests read it, as the third route's sign function.
     """
     lp.require_interior()
     h = lp.lam / 2.0
     Fi = F.n_inverse()
-    T = F.rotate(h).product(Fi.rotate(-h)) - F.rotate(-h).product(Fi.rotate(h))
-    S = None
-    if P is not None and Q is not None:
-        S = P.rotate(h).product(Q.rotate(-h)) - P.rotate(-h).product(Q.rotate(h))
-    return CharacterizationPolys(T=T, S=S)
+    return F.rotate(h).product(Fi.rotate(-h)) - F.rotate(-h).product(Fi.rotate(h))
 
 
 # -- disk-class routes -------------------------------------------------------

@@ -20,21 +20,15 @@ import numpy as np
 from . import classes, domains, harness, herglotz, qconv
 from .errors import BadParams, NoConvergence, PolyconvError
 from .poly import LambdaParam, Polynomial, complex_pairs
-from .roots import CIRCLE_TOL, find_roots
+from .roots import find_roots
 
 
 @dataclass(frozen=True)
 class Config:
-    circle_tol: float = CIRCLE_TOL
-    boundary_samples: int = 256
     rng_seed: int = 0
     output_format: str = "json"
 
     def __post_init__(self):
-        if not 0.0 < self.circle_tol < math.inf:
-            raise ValueError("circle_tol must be positive and finite")
-        if self.boundary_samples < 8:
-            raise ValueError("boundary_samples must be >= 8")
         if self.output_format not in {"json", "csv"}:
             raise ValueError("output_format must be json or csv")
 
@@ -111,10 +105,6 @@ def _build_parser():
     p.add_argument("--out", help="write output to this file instead of stdout")
     p.add_argument("--show-config", action="store_true",
                    help="print the effective configuration and exit")
-    p.add_argument("--circle-tol", type=float,
-                   help="half-width of the ON band of the circle tags that the roots "
-                        f"command prints (default {CIRCLE_TOL:g}); no other command reads it")
-    p.add_argument("--boundary-samples", type=int)
     p.add_argument("--rng-seed", type=int)
     p.add_argument("--output-format", choices=["json", "csv"])
     sub = p.add_subparsers(dest="command")
@@ -161,7 +151,7 @@ def _build_parser():
     dr.add_argument("poly")
     db = dsub.add_parser("boundary")
     db.add_argument("--spec", required=True)
-    db.add_argument("--samples", type=int, default=None)
+    db.add_argument("--samples", type=int, default=256)
 
     h = sub.add_parser("herglotz", help="kernel-combination approximant")
     h.add_argument("--coeffs", required=True,
@@ -268,8 +258,8 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config) if args.config else Config()
         overrides = {k: getattr(args, k) for k in
-                     ("circle_tol", "boundary_samples", "rng_seed", "output_format")
-                     if getattr(args, k, None) is not None}
+                     ("rng_seed", "output_format")
+                     if getattr(args, k) is not None}
         cfg = replace(cfg, **overrides)
         if args.show_config:
             _emit(args, json.dumps(asdict(cfg), indent=2))
@@ -296,7 +286,7 @@ def main(argv=None):
             _emit(args, out.to_json())
             return 0
         if args.command == "roots":
-            rs = find_roots(_read_poly(args.poly), circle_tol=cfg.circle_tol)
+            rs = find_roots(_read_poly(args.poly))
             if cfg.output_format == "csv":
                 _emit(args, "re,im,mult,tag\n" + rs.to_csv())
             else:
@@ -327,8 +317,7 @@ def main(argv=None):
                 return 0 if ok else 1
             if args.action == "boundary":
                 spec = _parse_domain_spec(args.spec)
-                pts = domains.boundary_polyline(
-                    spec, cfg.boundary_samples if args.samples is None else args.samples)
+                pts = domains.boundary_polyline(spec, args.samples)
                 lines = ["re,im"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in pts]
                 _emit(args, "\n".join(lines))
                 return 0

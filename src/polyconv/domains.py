@@ -201,7 +201,7 @@ def _ray_anchor(d):
     return center, reach
 
 
-def boundary_polyline(d, samples=256):
+def boundary_polyline(d, samples):
     """Points on the region boundary, one per angle, as an (m, 2) array of
     (re, im) rows for plotting, m <= samples.
 

@@ -236,7 +236,7 @@ def run_suffridge_trial(n, lam, trials, seed=0):
     for t in range(trials):
         rng = _trial_rng(seed, t)
         if lam > 1e-9 and t % 4 == 3:
-            _suffridge_only_if(n, lam, lp, rng, rep)
+            _suffridge_only_if(n, lam, lp, rng, rep, t)
             continue
         F = sample_T(n, lam, strict=False, rng=rng)
         G = sample_T(n, lam, strict=True, rng=rng)
@@ -248,7 +248,7 @@ def run_suffridge_trial(n, lam, trials, seed=0):
     return rep
 
 
-def _suffridge_only_if(n, lam, lp, rng, rep):
+def _suffridge_only_if(n, lam, lp, rng, rep, t):
     # G with separation below lambda cannot be fixed by any admissible F:
     # convolving with the rotated identity element reproduces G(bz).  One
     # gap is pinned to a sub-lambda value so the separation really is short.
@@ -272,17 +272,15 @@ def _suffridge_only_if(n, lam, lp, rng, rep):
         if not v.member and abs(v.margin) >= MARGIN_TOL:
             rep.record(abs(v.margin))
             return
-    rep.record(0.0, _wit("non-member G survived every rotated identity", G))
+    rep.record(0.0, _wit("non-member G survived every rotated identity", G, trial=t))
 
 
-def run_main_trial(n, lam, trials, seed=0, mu=None):
+def run_main_trial(n, lam, trials, seed=0):
     """Convolution invariance of the disk classes, plus the separation-lift
     property of the pre-coefficient classes at a larger parameter mu."""
     lp = LambdaParam(n, lam)
     rep = TrialReport(f"disk-convolution n={n} lambda={lam:.6g}", seed=seed)
-    upper = 2.0 * math.pi / n
-    if mu is None and 0.0 < lam:
-        mu = lam + 0.4 * (upper - lam)
+    mu = lam + 0.4 * (lp.upper - lam)
     for t in range(trials):
         rng = _trial_rng(seed, t)
         if lam > 0.0 and t % 3 == 2:
@@ -521,4 +519,7 @@ def run_grid(theorem, trials=20, seed=0, n_max=8):
     """One report per standard-grid point for a circle/disk theorem."""
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
+    if n_max < 2:
+        # the grid starts at n = 2, so a smaller n_max would check nothing
+        raise OutOfRange(f"n_max must be >= 2, got {n_max}")
     return [_THEOREMS[theorem](n, lam, trials, seed) for n, lam in standard_grid(n_max)]

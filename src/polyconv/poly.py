@@ -47,15 +47,12 @@ class Polynomial:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_roots(cls, roots, leading=1.0, nominal_degree=None):
+    def from_roots(cls, roots, leading=1.0):
         """leading * prod (z - r) expanded to ascending coefficients.
 
         z - r is 1 - r z with its coefficients reversed, so this is the
         reversed expansion of leading * prod (1 - r z)."""
-        c = _expand([-complex(r) for r in roots], leading)[::-1]
-        if nominal_degree is not None and nominal_degree + 1 > c.size:
-            c = np.concatenate([c, np.zeros(nominal_degree + 1 - c.size)])
-        return cls(c, nominal_degree if nominal_degree is not None else c.size - 1)
+        return cls(_expand([-complex(r) for r in roots], leading)[::-1])
 
     @classmethod
     def zero(cls, nominal_degree):
@@ -240,7 +237,7 @@ def trimmed(p):
     return Polynomial(c[: d + 1], d)
 
 
-def self_inversive_phase(p, tol=COEFF_TOL):
+def self_inversive_phase(p):
     """The unimodular c with arg(c) in [0, pi) making c*P n-self-inversive.
 
     Requires n_inverse(p) == c^2 * p coefficientwise.  c^2 is read off the
@@ -261,7 +258,7 @@ def self_inversive_phase(p, tol=COEFF_TOL):
             f"|coeff[{n - k}]| != |coeff[{k}]|: zeros not symmetric about the circle"
         )
     c2 /= abs(c2)
-    if np.max(np.abs(inv - c2 * c)) > tol * scale:
+    if np.max(np.abs(inv - c2 * c)) > COEFF_TOL * scale:
         raise NotSymmetric("no unimodular c^2 matches all coefficient pairs")
     half = cmath.phase(c2) / 2.0  # phase(c2) in (-pi, pi]
     if half < 0.0:

@@ -3,7 +3,7 @@
 Eigenvalues of the companion matrix (Edelman & Murakami 1995), a short
 Newton polish, and multiplicities decided by overlapping inclusion disks
 (Neumaier 2003), whose radii `_inclusion_radii` computes for the first
-route too.  Deterministic given its options.  `all_zeros_within`
+route too.  Deterministic.  `all_zeros_within`
 certifies "every zero inside a radius" without root finding, by the
 Schur-Cohn recursion with a running rounding bound; the routes use it
 before find_roots wherever they need that fact alone.  `_circle_sign`
@@ -49,13 +49,12 @@ class RootSet:
 
     roots: tuple  # of (location: complex, multiplicity: int)
     residual: float
-    circle_tol: float = CIRCLE_TOL
 
     def tags(self):
         out = []
         for z, m in self.roots:
             r = abs(z)
-            if abs(r - 1.0) <= self.circle_tol:
+            if abs(r - 1.0) <= CIRCLE_TOL:
                 out.append(ON)
             elif r < 1.0:
                 out.append(INSIDE)
@@ -266,7 +265,7 @@ def _cluster(c, rev, eig, points):
     return found
 
 
-def find_roots(p, circle_tol=CIRCLE_TOL):
+def find_roots(p):
     """All roots of p with multiplicities, classified against the unit circle.
 
     Distinct zeros come out simple once their inclusion disks separate at
@@ -329,7 +328,7 @@ def find_roots(p, circle_tol=CIRCLE_TOL):
             raise NoConvergence(
                 f"residual {residual:.3e} above tolerance after eigensolve and polish")
     found.sort(key=lambda rm: (round(abs(rm[0]), 12), math.atan2(rm[0].imag, rm[0].real)))
-    return RootSet(tuple(found), residual, circle_tol)
+    return RootSet(tuple(found), residual)
 
 
 def _on_circle_args(rs):

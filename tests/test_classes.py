@@ -878,10 +878,7 @@ class TestCharPolys:
         n, lam = 4, 0.5
         lp = LambdaParam(n, lam)
         F = q_extremal(n, lam).scale_argument(1.3)
-        P, Q = split(F)
-        cp = build_char_polys(F, lp, P, Q)
-        assert cp.T.nominal_degree == 2 * n
-        assert cp.S.nominal_degree == 2 * n
+        assert build_char_polys(F, lp).nominal_degree == 2 * n
 
     def test_endpoint_rejected(self):
         lp = LambdaParam(4, 0.0)
@@ -899,7 +896,7 @@ class TestCharPolys:
             z = np.exp(1j * rng.uniform(0.0, TP, 16))
             s = np.imag(cmath.exp(-1j * n * h) * F.rotate(h).eval_many(z)
                         * np.conj(F.rotate(-h).eval_many(z)))
-            T = build_char_polys(F, LambdaParam(n, lam)).T
+            T = build_char_polys(F, LambdaParam(n, lam))
             assert np.allclose(T.eval_many(z), 2j * z ** n * s,
                                atol=1e-12 * F.norm() ** 2), n
 

@@ -136,11 +136,18 @@ class TestBasicCommands:
         assert main(["roots", pjson]) == 3
         assert capsys.readouterr().err.startswith("error: residual")
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_roots_non_finite_circle_tol_is_usage_error(self, pjson, tol, capsys):
-        # nan tagged the unimodular zeros OUTSIDE and inf tagged 0.5 ON
-        assert main(["--circle-tol", tol, "--output-format", "csv", "roots", pjson]) == 2
-        assert capsys.readouterr().err.startswith("error: circle_tol")
+    @pytest.mark.parametrize("argv", [
+        ["--circle-tol=0.9", "roots", "p.json"],
+        ["--boundary-samples=4", "domain", "boundary", "--spec", "unit_disk"],
+    ], ids=["circle-tol", "boundary-samples"])
+    def test_removed_global_flags_exit_two(self, argv, capsys):
+        # --circle-tol tagged the zeros +-0.5i ON while every verdict read
+        # roots.CIRCLE_TOL; --boundary-samples repeated domain boundary's
+        # --samples with a range of its own
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
 
     def test_roots_nan_coefficient_is_usage_error(self, tmp_path):
         # run as a program so that a traceback would reach stderr
@@ -284,6 +291,22 @@ class TestDomain:
         assert lines[0] == "re,im"
         assert len(lines) == 33
 
+    def test_boundary_default_samples(self, capsys):
+        assert main(["domain", "boundary", "--spec", "omega:0,2,0.4"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 257
+
+    def test_unit_circle_spec(self, pjson, capsys):
+        for point, word in (("0.6,0.8", "IN"), ("0.5,0", "OUT"), ("2,0", "OUT")):
+            assert main(["domain", "contains", "--spec", "unit_circle",
+                         "--point", point]) == 0
+            assert capsys.readouterr().out.strip() == word, point
+        # pjson has the zeros 0.5, e^{0.3i} and 2: e^{0.3i} alone is on it
+        assert main(["domain", "roots", "--spec", "unit_circle", pjson]) == 1
+        d = json.loads(capsys.readouterr().out)
+        assert d["inside"] is False and d["offending_root"] is not None
+        assert main(["domain", "boundary", "--spec", "unit_circle"]) == 2
+        assert "its own boundary" in capsys.readouterr().err
+
     def test_boundary_far_bounded_region_keeps_every_ray(self, capsys):
         # the boundary reaches |z| = 1e7; rays past 1e6 were dropped
         assert main(["domain", "boundary", "--spec", "omega:1,0,0.9999999",
@@ -377,6 +400,16 @@ class TestVerify:
         assert len(json.loads(capsys.readouterr().out)) == 8
 
     @pytest.mark.parametrize("theorem", ["suffridge", "main", "gausslucas"])
+    @pytest.mark.parametrize("n_max", ["1", "0"])
+    def test_grid_below_n_two_is_usage_error(self, theorem, n_max, capsys):
+        # the grid starts at n = 2: these printed [] and exited 0 having
+        # checked nothing
+        assert main(["verify", "--theorem", theorem, "--n-max", n_max,
+                     "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: n_max must be >= 2") and out == ""
+
+    @pytest.mark.parametrize("theorem", ["suffridge", "main", "gausslucas"])
     @pytest.mark.parametrize("given,missing", [(["--n", "3"], "--lambda"),
                                                (["--lambda", "0.5"], "--n")])
     def test_one_grid_option_alone_is_usage_error(self, theorem, given, missing, capsys):
@@ -429,15 +462,10 @@ class TestVerify:
 class TestConfig:
     def test_defaults(self):
         cfg = Config()
-        assert cfg.circle_tol == 1e-7
-        assert cfg.boundary_samples == 256
+        assert cfg.rng_seed == 0
         assert cfg.output_format == "json"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Config(circle_tol=-1.0)
-        with pytest.raises(ValueError):
-            Config(boundary_samples=2)
         with pytest.raises(ValueError):
             Config(output_format="xml")
 
@@ -456,11 +484,18 @@ class TestConfig:
         f.write_text("not_a_key = 3\n")
         assert main(["--config", str(f), "--show-config"]) == 2
 
+    def test_line_without_equals_sign(self, tmp_path, capsys):
+        f = tmp_path / "cfg"
+        f.write_text("rng_seed 5\n")
+        assert main(["--config", str(f), "--show-config"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: bad config line") and out == ""
+
     def test_x_grid_key_removed(self, tmp_path, capsys):
         # and the other knobs that reached no code
         f = tmp_path / "cfg"
         for line in ("x_grid=181", "coeff_tol=1e-10", "margin_tol=1e-6",
-                     "zeta_count=64"):
+                     "zeta_count=64", "circle_tol=1e-7", "boundary_samples=256"):
             f.write_text(line + "\n")
             assert main(["--config", str(f), "--show-config"]) == 2, line
             assert "unknown config key" in capsys.readouterr().err, line

@@ -197,6 +197,80 @@ class TestRunners:
         assert all(w["trial"] == t and len(w["polys"]) == 2
                    for t, w in enumerate(rep.witnesses))
 
+    @staticmethod
+    def only_witness(rep, failures=1):
+        # the report is valid JSON, and its one witness names its trial
+        assert rep.failures == failures == len(rep.witnesses)
+        assert json.loads(rep.to_json())["witnesses"] == rep.witnesses
+        return rep.witnesses[0] if failures else None
+
+    def test_suffridge_only_if_failure_path(self, monkeypatch):
+        # every product becomes z^3 - 1, an open-class member, so the planted
+        # non-member G of trial 3 survives all sixteen rotated identities
+        monkeypatch.setattr(harness, "lambda_convolve",
+                            lambda F, G, lp: Polynomial([-1, 0, 0, 1], 3))
+        rep = run_suffridge_trial(3, 0.6, trials=4, seed=0)
+        assert rep.trials == 4 and rep.indeterminate == 0
+        w = self.only_witness(rep)
+        assert w["tag"] == "non-member G survived every rotated identity"
+        assert w["trial"] == 3 and len(w["polys"]) == 1
+
+    def test_limacon_negative_arm_failure_path(self, monkeypatch):
+        # every product's roots read as inside: the six positive arms pass,
+        # and trial 6's planted root "stays inside"
+        monkeypatch.setattr(harness, "root_set_in", lambda p, d: (True, None))
+        rep = run_limacon_trial(1.0, 0.25, 4, trials=7, seed=0)
+        assert rep.trials == 7 and rep.indeterminate == 0
+        w = self.only_witness(rep)
+        assert w["tag"] == "planted root stayed inside"
+        assert w["trial"] == 6 and len(w["polys"]) == 2 and len(w["beta"]) == 2
+
+    @pytest.mark.parametrize("outside", [(), (domains.LIMACON_I,)],
+                             ids=["no-beta", "no-alpha"])
+    def test_limacon_negative_arm_skips(self, monkeypatch, outside):
+        # no point outside the inner limaçon gives no planted root; with one
+        # but no Möbius-disk point whose product leaves the disk, no P
+        monkeypatch.setattr(harness, "contains",
+                            lambda d, z, tol=1e-9: domains.OUT if d.kind in outside
+                            else domains.IN)
+        rep = TrialReport("negative arm")
+        harness._limacon_negative_arm(1.0, 0.25, 4, np.random.default_rng(0), rep, 6)
+        assert rep.trials == rep.indeterminate == 1
+        assert self.only_witness(rep, failures=0) is None
+
+    @pytest.mark.parametrize("root,failures", [(2.0, 1), (1.0 + 5e-7, 0)],
+                             ids=["escaped", "near-circle"])
+    def test_gauss_lucas_closed_image_paths(self, monkeypatch, root, failures):
+        # trial 0 is the closed circle-class arm: an image root at 2 escapes
+        # the closed disk; one 5e-7 past the circle is OUTSIDE, but within
+        # MARGIN_TOL of it, so the trial is skipped
+        monkeypatch.setattr(harness, "_image_roots",
+                            lambda img: RootSet(((complex(root), 1),), 0.0))
+        rep = run_gauss_lucas_trial(4, 0.5, trials=1, seed=0)
+        assert rep.trials == 1 and rep.indeterminate == 1 - failures
+        w = self.only_witness(rep, failures)
+        if failures:
+            assert w["tag"] == "closed image escaped"
+            assert w["trial"] == 0 and rep.worst_margin == -1.0
+
+    def test_herglotz_failure_path(self, monkeypatch):
+        # each evaluation is offset by one more than the last, so the error
+        # grows along the schedule
+        calls = []
+        real = harness.evaluate_approximant_many
+
+        def drifting(h, zs):
+            calls.append(h)
+            return real(h, zs) + len(calls)
+
+        monkeypatch.setattr(harness, "evaluate_approximant_many", drifting)
+        rep = run_herglotz_trial(1, seed=0)
+        assert rep.trials == 1 and len(calls) == 3
+        w = self.only_witness(rep)
+        assert w["tag"] == "error failed to decrease"
+        assert w["trial"] == 0 and w["polys"] == []
+        assert w["errors"][0] < w["errors"][1] < w["errors"][2]
+
     def test_reproducible_bit_exact(self):
         runs = [
             lambda seed: run_suffridge_trial(3, 0.6, trials=8, seed=seed),
@@ -235,3 +309,10 @@ class TestRunners:
         assert all(r.ok for r in reps)
         with pytest.raises(ValueError):
             run_grid("nonsense", trials=1)
+
+    @pytest.mark.parametrize("n_max", [1, 0, -3])
+    def test_run_grid_below_n_two_rejected(self, n_max):
+        # standard_grid starts at n = 2, so these grids are empty
+        assert list(standard_grid(n_max)) == []
+        with pytest.raises(OutOfRange, match="n_max must be >= 2"):
+            run_grid("main", trials=1, n_max=n_max)

@@ -230,7 +230,7 @@ class TestAgainstOracle:
         for frac in (0.5, 0.85):
             lam = frac * 2.0 * math.pi / n
             F = extremal_family(n, lam, -1.0, 0.3, cmath.exp(0.9j)) - q_extremal(n, lam)
-            rs = find_roots(build_char_polys(F, LambdaParam(n, lam)).T)
+            rs = find_roots(build_char_polys(F, LambdaParam(n, lam)))
             on = [m for (_, m), t in zip(rs.roots, rs.tags()) if t == ON]
             assert on and all(m % 2 == 0 for m in on)
             assert sum(on) == 2 * (n - 1)

@@ -1,0 +1,105 @@
+"""Inventory of the package's settings: every default-valued parameter, the
+Config fields and the parser's global options, against committed lists.
+
+A new knob, or one removed, fails here and names itself, so that it shows
+up in review as an edit to these lists.
+"""
+
+import argparse
+import ast
+import dataclasses
+from pathlib import Path
+
+import polyconv
+from polyconv import cli
+
+#: module.function(param), with enclosing classes and functions in the name
+DEFAULT_PARAMS = {
+    "classes.in_T(closed)",
+    "classes._route_roots(roots)",
+    "classes.in_D_third(closed)",
+    "classes.in_D_first(closed)",
+    "classes.in_D_second(closed)",
+    "classes.eq8_oracle(closed)",
+    "classes.in_D(closed)",
+    "classes.in_D(method)",
+    "classes.hermite_biehler(strict)",
+    "classes.hermite_kakeya(strict)",
+    "classes.pre_class_test(which)",
+    "classes.pre_class_test(method)",
+    "cli.main(argv)",
+    "domains.omega(closed)",
+    "domains.limacon_inner(closed)",
+    "domains.limacon_outer(closed)",
+    "domains.contains(tol)",
+    "domains.root_set_in(tol)",
+    "harness.TrialReport.record(witness)",
+    "harness.standard_grid(n_max)",
+    "harness.sample_D(strategy)",
+    "harness._sample_region(allow_boundary)",
+    "harness.sample_inner_limacon(closed)",
+    "harness.sample_outer_limacon(closed)",
+    "harness._judge(indeterminate)",
+    "harness.run_suffridge_trial(seed)",
+    "harness.run_main_trial(seed)",
+    "harness.run_limacon_trial(seed)",
+    "harness.run_gauss_lucas_trial(seed)",
+    "harness.run_herglotz_trial(seed)",
+    "harness.run_grid(trials)",
+    "harness.run_grid(seed)",
+    "harness.run_grid(n_max)",
+    "poly.Polynomial.__init__(nominal_degree)",
+    "poly.Polynomial.from_roots(leading)",
+    "poly.Polynomial.approx_eq(tol)",
+    "poly._expand(leading)",
+    "roots.interspersed(strict)",
+}
+
+CONFIG_FIELDS = {"rng_seed", "output_format"}
+
+GLOBAL_OPTIONS = {"--config", "--out", "--show-config", "--rng-seed", "--output-format"}
+
+
+def _default_params(tree, module):
+    """module.function(param) for each parameter with a default."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                named = positional[len(positional) - len(a.defaults):] if a.defaults else []
+                named += [k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out.update(f"{module}.{prefix}{child.name}({p.arg})" for p in named)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def _diff(found, committed):
+    return (f"added: {sorted(found - committed)}; removed: {sorted(committed - found)}; "
+            "edit the committed list in tests/test_settings.py if this is meant")
+
+
+def test_default_valued_parameters():
+    found = set()
+    for path in sorted(Path(polyconv.__file__).parent.glob("*.py")):
+        found |= _default_params(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == DEFAULT_PARAMS, _diff(found, DEFAULT_PARAMS)
+
+
+def test_config_fields():
+    found = {f.name for f in dataclasses.fields(cli.Config)}
+    assert found == CONFIG_FIELDS, _diff(found, CONFIG_FIELDS)
+
+
+def test_global_options():
+    found = {s for a in cli._build_parser()._actions
+             if not isinstance(a, argparse._HelpAction) for s in a.option_strings}
+    assert found == GLOBAL_OPTIONS, _diff(found, GLOBAL_OPTIONS)
