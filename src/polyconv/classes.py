@@ -45,7 +45,7 @@ from .errors import (
 from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase, trimmed
 from .qconv import delta, pre_lift, q_extremal
 from .roots import (CIRCLE_TOL, INSIDE, NEWTON_STEPS, ON, OUTSIDE, _circle_sign, _inclusion_radii,
-                    all_zeros_within, arg_separation, find_roots, interspersed)
+                    _unit_scaled, all_zeros_within, arg_separation, find_roots, interspersed)
 
 SEP_TOL = 1e-8
 #: the radius at which all_zeros_within certifies zeros that find_roots
@@ -373,7 +373,7 @@ def in_D_first(F, lp, closed=True):
     z, m = map(np.array, zip(*rs.roots))
     w = m * (1.0 - np.abs(z) ** 2)
     at = _least_gap(functools.partial(_blaschke_arg, n, z, m, w), n, z, tol)
-    r = _inclusion_radii(F.coeffs[: n + 1], z, m)
+    r = _inclusion_radii(_unit_scaled(F.coeffs[: n + 1]), z, m)
     v = np.abs(1.0 - np.multiply.outer(np.exp(-1j * at), z))
     with np.errstate(divide="ignore", invalid="ignore"):
         err = ((m * (r + 4.0 * eps)) @ (2.0 / v).sum(axis=0) + tol) / (w @ v[1] ** -2)
@@ -420,8 +420,9 @@ def in_D_second(P, Q, lp, closed=True):
     cP, cQ, same = _phases(P, Q)
     if same:
         raise PhaseCollision("c_P == c_Q: split degenerate for this route")
-    A = cP * delta(P, lp)
-    B = cQ * delta(Q, lp)
+    # one power of two for both halves keeps delta's products in range
+    A, B = (c * delta(Polynomial(x, P.nominal_degree), lp)
+            for c, x in zip((cP, cQ), _unit_scaled(np.stack([P.coeffs, Q.coeffs]))))
     # at n = 1 the ends are nonzero constants, without zeros
     for theta, H in ((0.0, A), (math.pi / 2.0, B)) if lp.n > 1 else ():
         if all_zeros_within(H, 1.0 if closed else INSIDE_RADIUS):
@@ -468,7 +469,8 @@ def eq8_oracle(F, lp, closed=True):
     phase = cmath.exp(-1j * lp.n * h)
     z = _oracle_grid(closed)
     # F_+ and F_- by Horner in place, the steps of np.polyval from zeros
-    rows = np.stack([F.rotate(h).coeffs, F.rotate(-h).coeffs], axis=1)[::-1, :, None]
+    rows = _unit_scaled(np.stack([F.rotate(h).coeffs, F.rotate(-h).coeffs], axis=1))
+    rows = rows[::-1, :, None]
     num, den = y = np.zeros((2, z.size), dtype=complex)
     for col in rows:
         y *= z

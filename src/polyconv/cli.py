@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -21,37 +20,6 @@ from . import classes, domains, harness, herglotz, qconv
 from .errors import BadParams, NoConvergence, PolyconvError
 from .poly import LambdaParam, Polynomial, complex_pairs
 from .roots import find_roots
-
-
-@dataclass(frozen=True)
-class Config:
-    rng_seed: int = 0
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.output_format not in {"json", "csv"}:
-            raise ValueError("output_format must be json or csv")
-
-
-def _load_config(path):
-    """key=value lines; blank lines and # comments ignored.  Each value
-    takes the type of its default."""
-    values = {}
-    defaults = {f.name: f.default for f in fields(Config)}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = type(defaults[key])(raw)
-    return Config(**values)
 
 
 def _fmt(x):
@@ -101,12 +69,9 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="polyconv",
                                 description="circle/disk polynomial classes, "
                                             "weighted convolutions, zero domains")
-    p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--show-config", action="store_true",
-                   help="print the effective configuration and exit")
-    p.add_argument("--rng-seed", type=int)
-    p.add_argument("--output-format", choices=["json", "csv"])
+    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--output-format", choices=["json", "csv"], default="json")
     sub = p.add_subparsers(dest="command")
 
     q = sub.add_parser("qcoef", help="one convolution weight C_k^(n)(lambda)")
@@ -144,10 +109,10 @@ def _build_parser():
     dc = dsub.add_parser("contains")
     dc.add_argument("--spec", required=True)
     dc.add_argument("--point", required=True, help="re,im")
-    dc.add_argument("--tol", type=float, default=1e-9)
+    dc.add_argument("--tol", type=float, default=domains.BOUNDARY_TOL)
     dr = dsub.add_parser("roots")
     dr.add_argument("--spec", required=True)
-    dr.add_argument("--tol", type=float, default=1e-9)
+    dr.add_argument("--tol", type=float, default=domains.BOUNDARY_TOL)
     dr.add_argument("poly")
     db = dsub.add_parser("boundary")
     db.add_argument("--spec", required=True)
@@ -166,9 +131,9 @@ def _build_parser():
     v.add_argument("--trials", type=int, default=20)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--lambda", dest="lam", type=float, default=None)
-    v.add_argument("--n-max", type=int, default=8)
-    v.add_argument("--tau", default="1,0", help="re,im")
-    v.add_argument("--gamma", type=float, default=0.5)
+    v.add_argument("--n-max", type=int)
+    v.add_argument("--tau", help="re,im")
+    v.add_argument("--gamma", type=float)
     v.add_argument("--max-indeterminate-fraction", type=float, default=0.5)
 
     i = sub.add_parser("inverse", help="conjugate-reversed coefficients")
@@ -181,7 +146,7 @@ def _build_parser():
     return p
 
 
-def _cmd_classify(args, cfg):
+def _cmd_classify(args):
     p = _read_poly(args.poly)
     lp = LambdaParam(p.nominal_degree, args.lam)
     closed = not args.open
@@ -196,29 +161,45 @@ def _cmd_classify(args, cfg):
     return 0 if v.member else 1
 
 
-def _cmd_verify(args, cfg):
+#: verify's per-theorem options (parser dest: flag), None unless given
+_VERIFY_OPTIONS = {"n": "--n", "lam": "--lambda", "n_max": "--n-max",
+                   "tau": "--tau", "gamma": "--gamma"}
+
+
+def _cmd_verify(args):
     if args.trials < 1:
         raise BadParams(f"--trials must be >= 1, got {args.trials}")
     if not 0.0 <= args.max_indeterminate_fraction <= 1.0:
         raise BadParams("--max-indeterminate-fraction must be in [0, 1], "
                         f"got {args.max_indeterminate_fraction}")
-    seed = cfg.rng_seed
-    if args.theorem == "limacon":
-        re, im = (float(x) for x in args.tau.split(","))
-        n = 5 if args.n is None else args.n
-        reports = [harness.run_limacon_trial(complex(re, im), args.gamma, n,
-                                             args.trials, seed=seed)]
-    elif args.theorem == "herglotz":
+    theorem, seed = args.theorem, args.rng_seed
+    if theorem == "herglotz":
+        reads, hint = (), ""
+    elif theorem == "limacon":
+        reads, hint = ("n", "tau", "gamma"), ""
+    else:
+        reads = ("n_max",) if args.n is None and args.lam is None else ("n", "lam")
+        hint = "; it reads --n with --lambda, or else --n-max"
+    unread = [flag for k, flag in _VERIFY_OPTIONS.items()
+              if k not in reads and getattr(args, k) is not None]
+    if unread:
+        raise BadParams(f"--theorem {theorem} does not read {', '.join(unread)}{hint}")
+    if theorem == "limacon":
+        re, im = (float(x) for x in ("1,0" if args.tau is None else args.tau).split(","))
+        reports = [harness.run_limacon_trial(
+            complex(re, im), 0.5 if args.gamma is None else args.gamma,
+            5 if args.n is None else args.n, args.trials, seed=seed)]
+    elif theorem == "herglotz":
         reports = [harness.run_herglotz_trial(args.trials, seed)]
     elif (args.n is None) != (args.lam is None):
         given, missing = ("--n", "--lambda") if args.lam is None else ("--lambda", "--n")
         raise BadParams(f"{given} needs {missing}: give both for one grid point, "
                         "or neither for the whole grid")
     elif args.n is not None:
-        reports = [harness._THEOREMS[args.theorem](args.n, args.lam, args.trials, seed)]
+        reports = [harness._THEOREMS[theorem](args.n, args.lam, args.trials, seed)]
     else:
-        reports = harness.run_grid(args.theorem, trials=args.trials, seed=seed,
-                                   n_max=args.n_max)
+        reports = harness.run_grid(theorem, args.trials, seed,
+                                   8 if args.n_max is None else args.n_max)
     _emit(args, "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]")
     failures = sum(r.failures for r in reports)
     trials = sum(r.trials for r in reports)
@@ -230,11 +211,11 @@ def _cmd_verify(args, cfg):
     return 0
 
 
-def _cmd_herglotz(args, cfg):
+def _cmd_herglotz(args):
     with open(args.coeffs) as fh:
         coeffs = complex_pairs(json.load(fh))
     h = herglotz.build_approximant(coeffs, args.k, args.r)
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         # error against the supplied Taylor series along growing radii
         lines = ["radius,sup_error"]
         for rho in np.linspace(0.05, 0.9, 18):
@@ -256,14 +237,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config) if args.config else Config()
-        overrides = {k: getattr(args, k) for k in
-                     ("rng_seed", "output_format")
-                     if getattr(args, k) is not None}
-        cfg = replace(cfg, **overrides)
-        if args.show_config:
-            _emit(args, json.dumps(asdict(cfg), indent=2))
-            return 0
         if not args.command:
             parser.print_usage(sys.stderr)
             return 2
@@ -276,18 +249,18 @@ def main(argv=None):
         if args.command == "convolve":
             f = _read_poly(args.f)
             g = _read_poly(args.g)
-            if args.mode == "gs":
-                out = qconv.grace_szego(f, g)
-            else:
-                if args.lam is None:
-                    raise BadParams("--lambda required for mode lambda")
-                out = qconv.lambda_convolve(f, g,
-                                            LambdaParam(f.nominal_degree, args.lam))
+            if args.mode == "lambda" and args.lam is None:
+                raise BadParams("--lambda required for mode lambda")
+            # an overflow leaves a non-finite coefficient, which Polynomial
+            # refuses (ValueError), here and in delta
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = (qconv.grace_szego(f, g) if args.mode == "gs" else
+                       qconv.lambda_convolve(f, g, LambdaParam(f.nominal_degree, args.lam)))
             _emit(args, out.to_json())
             return 0
         if args.command == "roots":
             rs = find_roots(_read_poly(args.poly))
-            if cfg.output_format == "csv":
+            if args.output_format == "csv":
                 _emit(args, "re,im,mult,tag\n" + rs.to_csv())
             else:
                 _emit(args, json.dumps([
@@ -295,7 +268,7 @@ def main(argv=None):
                     for (z, m), t in zip(rs.roots, rs.tags())], indent=2))
             return 0
         if args.command == "classify":
-            return _cmd_classify(args, cfg)
+            return _cmd_classify(args)
         if args.command == "domain":
             if args.action in ("contains", "roots") and not 0.0 <= args.tol < math.inf:
                 raise BadParams(f"--tol must be finite and >= 0, got {args.tol}")
@@ -308,8 +281,7 @@ def main(argv=None):
                 return 0
             if args.action == "roots":
                 spec = _parse_domain_spec(args.spec)
-                ok, bad = domains.root_set_in(_read_poly(args.poly), spec,
-                                              args.tol)
+                ok, bad = domains.root_set_in(_read_poly(args.poly), spec, args.tol)
                 _emit(args, json.dumps({
                     "inside": ok,
                     "offending_root": None if bad is None
@@ -323,15 +295,16 @@ def main(argv=None):
                 return 0
             raise BadParams("domain needs an action")
         if args.command == "herglotz":
-            return _cmd_herglotz(args, cfg)
+            return _cmd_herglotz(args)
         if args.command == "verify":
-            return _cmd_verify(args, cfg)
+            return _cmd_verify(args)
         if args.command == "inverse":
             _emit(args, _read_poly(args.poly).n_inverse().to_json())
             return 0
         if args.command == "delta":
             p = _read_poly(args.poly)
-            out = qconv.delta(p, LambdaParam(p.nominal_degree, args.lam))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = qconv.delta(p, LambdaParam(p.nominal_degree, args.lam))
             _emit(args, out.to_json())
             return 0
     except NoConvergence as e:

@@ -36,6 +36,9 @@ LIMACON_O = "LIMACON_O"
 LIMACON_O_CLOSED = "LIMACON_O_CLOSED"
 COMPLEMENT = "COMPLEMENT"
 
+#: width of the BOUNDARY band on the defining defect, unless a caller gives its own
+BOUNDARY_TOL = 1e-9
+
 _OMEGA_KINDS = {OMEGA, OMEGA_CLOSED}
 _LIMACON_KINDS = {LIMACON_I, LIMACON_I_CLOSED, LIMACON_O, LIMACON_O_CLOSED}
 
@@ -125,7 +128,7 @@ def _classify(defect, tol):
     return IN if defect > 0 else OUT
 
 
-def contains(d, z, tol=1e-9):
+def contains(d, z, tol=BOUNDARY_TOL):
     """Membership of the point z in the region, with a BOUNDARY verdict in a
     band of width tol on the defining defect.  Open and closed variants
     classify points identically; closure matters to root_set_in, which
@@ -155,7 +158,7 @@ def _accepts_boundary(d):
     return d.kind.endswith("CLOSED")
 
 
-def root_set_in(p, d, tol=1e-9):
+def root_set_in(p, d, tol=BOUNDARY_TOL):
     """(all roots in the region, first offending root or None).
 
     BOUNDARY roots count as inside exactly for closed regions."""

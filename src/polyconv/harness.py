@@ -515,7 +515,7 @@ _THEOREMS = {
 }
 
 
-def run_grid(theorem, trials=20, seed=0, n_max=8):
+def run_grid(theorem, trials, seed, n_max):
     """One report per standard-grid point for a circle/disk theorem."""
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")

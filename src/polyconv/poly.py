@@ -25,7 +25,8 @@ TRIM_TOL = 1e-13
 
 
 class Polynomial:
-    """Immutable dense polynomial sum_k coeffs[k] z^k with len(coeffs) == n+1."""
+    """Immutable dense polynomial sum_k coeffs[k] z^k with len(coeffs) == n+1,
+    every coefficient finite (ValueError otherwise)."""
 
     __slots__ = ("_coeffs", "_n")
 
@@ -40,6 +41,9 @@ class Polynomial:
                 f"need {nominal_degree + 1} coefficients for nominal degree "
                 f"{nominal_degree}, got {c.size}"
             )
+        if not np.isfinite(c).all():
+            k = int(np.flatnonzero(~np.isfinite(c))[0])
+            raise ValueError(f"non-finite coefficient {c[k]} of z^{k}")
         c.flags.writeable = False
         self._coeffs = c
         self._n = int(nominal_degree)

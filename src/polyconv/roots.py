@@ -16,7 +16,6 @@ step cannot beat the rounding of the sign.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -105,7 +104,8 @@ def all_zeros_within(p, r):
     power of two, which rounds nothing.  The answer is True only when
     |a_0| + e_0 < |a_m| - e_m at every step, the two moduli widened by 4 u
     for their rounding and the test's; any other outcome (a step within
-    its bound, a non-finite coefficient, a constant p) is False.
+    its bound, coefficients below TINY, a step past the float range, a
+    constant p) is False.
 
     So a True answer places every zero of p strictly below r.  Called with
     r = 1 - 2 CIRCLE_TOL, find_roots could tag a zero ON or OUTSIDE only by
@@ -117,7 +117,7 @@ def all_zeros_within(p, r):
         return False
     c = p.coeffs[: d + 1].tolist()
     big = max(map(abs, c))
-    if not (all(map(cmath.isfinite, c)) and big > TINY):
+    if not big > TINY:
         return False
     u, v = 2.0 ** -53, 2.0 ** -1074
     grow = 1.0 + 32.0 * u
@@ -146,6 +146,19 @@ def all_zeros_within(p, r):
             return False
         s = 2.0 ** -math.frexp(big)[1]
         a, e = [x * s for x in b], [x * s for x in f]
+
+
+def _unit_scaled(c):
+    """The complex array c times the one power of two that brings its largest
+    modulus into [1/2, 1).  That rounds nothing short of subnormal results,
+    so what is computed from it does not depend on a common scale of c, and
+    no scale of c makes it overflow.  By ldexp, since the factor itself
+    overflows for subnormal c; an all-zero c is returned as it is."""
+    c = np.ascontiguousarray(c, dtype=complex)
+    big = float(np.max(np.abs(c)))
+    if not big > 0.0:
+        return c
+    return np.ldexp(c.view(float), -math.frexp(big)[1]).view(complex)
 
 
 def _companion_roots(c):
@@ -270,25 +283,22 @@ def find_roots(p):
 
     Distinct zeros come out simple once their inclusion disks separate at
     the eigenvalues or at the polished points; zeros whose disks overlap
-    at both form one multiple root (see _cluster).  Raises ValueError on a
-    non-finite coefficient, and NoConvergence when the normalized residual
-    at the simple roots is above sqrt(RESIDUAL_TOL) after eigensolve and polish.
+    at both form one multiple root (see _cluster).  It works on p's
+    coefficients _unit_scaled, so the roots do not depend on a common scale
+    of p.  Raises NoConvergence when the normalized residual at the simple
+    roots is above sqrt(RESIDUAL_TOL) after eigensolve and polish.
     """
-    bad = np.flatnonzero(~np.isfinite(p.coeffs))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"non-finite coefficient {p.coeffs[k]} of z^{k}")
     d = p.exact_degree
-    if p.is_zero or d < 1:
+    if d < 1:
         raise ValueError("need a nonzero polynomial of exact degree >= 1")
-    c = np.array(p.coeffs[: d + 1])
+    full = _unit_scaled(p.coeffs[: d + 1])
     # exact zeros at the origin come from vanishing low-order coefficients
-    scale = float(np.max(np.abs(c)))
+    scale = float(np.max(np.abs(full)))
     k0 = 0
-    while abs(c[k0]) == 0.0:
+    while abs(full[k0]) == 0.0:
         k0 += 1
     zero_mult = k0
-    c = c[k0:]
+    c = full[k0:]
     eig = _companion_roots(c) if c.size > 1 else np.array([], dtype=complex)
     approx = eig
 
@@ -321,7 +331,7 @@ def find_roots(p):
     if simple:
         # normalize by the natural size of p near each root so roots of
         # large modulus are not penalized
-        vals = np.abs(p.eval_many(simple))
+        vals = np.abs(np.polyval(full[::-1], np.asarray(simple)))
         sizes = scale * np.maximum(1.0, np.abs(simple)) ** d
         residual = float(np.max(vals / sizes))
         if not residual <= math.sqrt(RESIDUAL_TOL):  # a NaN residual fails too
@@ -431,7 +441,7 @@ def _circle_sign(A, B):
     minimum in [-1/2, 1/2], and its circle point z; indeterminate when no
     minimum falls below minus its bound and not every one clears it.
     """
-    AB = np.stack([A, B], axis=1)
+    AB = _unit_scaled(np.stack([A, B], axis=1))
     eA, eB = (4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)).tolist()
     x, nodes = _circle_nodes(len(A))
     a, b = (nodes @ AB).T

@@ -1007,6 +1007,55 @@ class TestHermiteKakeya:
                 assert hermite_kakeya(P, Q, strict) == expected, (n, a, owner, strict)
 
 
+def scaled_verdicts(F, lp):
+    """repr of every route's verdict at both closures, of the half-plane
+    criterion, and of F's roots (an exception's type where one is raised)."""
+    calls = [lambda m=m, c=c: in_D(F, lp, c, m) for m in ("third", "first", "second", "oracle")
+             for c in (True, False)]
+    calls += [lambda: half_plane_criterion(F), lambda: find_roots(F)]
+    out = []
+    for call in calls:
+        try:
+            out.append(repr(call()))
+        except (HypothesisViolated, ValueError) as e:
+            out.append(type(e).__name__)
+    return out
+
+
+@pytest.mark.parametrize("k", [-900, -300, 300, 900, "top"])
+def test_verdicts_do_not_depend_on_a_common_scale(k):
+    # the classes are invariant under F -> cF, and a power of two c rounds
+    # no coefficient, so every verdict must come out the same.  At 1e155
+    # the second route and the half-plane criterion gave decided verdicts
+    # with a NaN margin, and the third route a NaN margin.  "top" scales
+    # each F to a largest coefficient modulus in [2^1020, 2^1021), where
+    # the oracle's grid values and the first route's radii overflowed
+    rng = np.random.default_rng(1024)
+    instances = [(lp, F) for i, (_, lp, F) in enumerate(certified_inside_instances())
+                 if i % 6 == 0]
+    for _ in range(8):
+        n = int(rng.integers(2, 7))
+        c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        instances.append((LambdaParam(n, float(rng.uniform(0.1, 0.9)) * TP / n),
+                          Polynomial(c, n)))
+    for lp, F in instances:
+        e = 1021 - math.frexp(F.norm())[1] if k == "top" else k
+        G = Polynomial([complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                        for c in F.coeffs], F.nominal_degree)
+        assert scaled_verdicts(G, lp) == scaled_verdicts(F, lp), (k, F)
+
+
+def test_verdicts_at_a_scale_near_overflow():
+    F, lp = Polynomial([0.25, 0.5, 1.0], 2), LambdaParam(2, 0.5)
+    for G in (F * 1e155, F * 1e-160):
+        for m in ("third", "first", "second", "oracle"):
+            got, want = in_D(G, lp, True, m), in_D(F, lp, True, m)
+            assert got.member and not got.indeterminate, m
+            assert got.margin == pytest.approx(want.margin, rel=1e-12), m
+        v = half_plane_criterion(G)
+        assert v.member and v.margin == pytest.approx(0.16216216216216, rel=1e-12)
+
+
 class TestHalfPlane:
     def test_monomial_plus_small_constant(self):
         v = half_plane_criterion(Polynomial([0.4, 0, 0, 1.0], 3))

@@ -1,4 +1,4 @@
-"""Command line interface: subcommands, exit codes, config handling."""
+"""Command line interface: subcommands, exit codes, global options."""
 
 import cmath
 import hashlib
@@ -13,7 +13,7 @@ import pytest
 
 import polyconv
 from polyconv import cli, harness
-from polyconv.cli import Config, main
+from polyconv.cli import main
 from polyconv.errors import NoConvergence
 from polyconv.poly import Polynomial
 from polyconv.qconv import q_coefficient
@@ -139,11 +139,14 @@ class TestBasicCommands:
     @pytest.mark.parametrize("argv", [
         ["--circle-tol=0.9", "roots", "p.json"],
         ["--boundary-samples=4", "domain", "boundary", "--spec", "unit_disk"],
-    ], ids=["circle-tol", "boundary-samples"])
+        ["--config=cfg", "qcoef", "4", "2", "0"],
+        ["--show-config"],
+    ], ids=["circle-tol", "boundary-samples", "config", "show-config"])
     def test_removed_global_flags_exit_two(self, argv, capsys):
         # --circle-tol tagged the zeros +-0.5i ON while every verdict read
         # roots.CIRCLE_TOL; --boundary-samples repeated domain boundary's
-        # --samples with a range of its own
+        # --samples with a range of its own; a --config file set only the
+        # seed and the output format, each of which has its own flag
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -205,6 +208,18 @@ class TestBasicCommands:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: non-finite coefficient 1") and out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["convolve", "{big}", "{big}"],
+        ["convolve", "--mode", "lambda", "--lambda", "0.5", "{big}", "{big}"],
+        ["delta", "--lambda", "0", "{big}"],
+    ])
+    def test_overflow_is_usage_error(self, tmp_path, command, capsys):
+        # these printed Infinity or NaN coefficients and exited 0
+        big = write_poly(tmp_path / "big.json", Polynomial([1e308] * 3, 2))
+        assert main([big if a == "{big}" else a for a in command]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: non-finite coefficient") and out == ""
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -441,6 +456,24 @@ class TestVerify:
         rep, = json.loads(capsys.readouterr().out)
         assert (rep["failures"], rep["indeterminate"]) == (failures, indeterminate)
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["--theorem", "herglotz", "--trials", "1", "--n-max", "0"], "--n-max"),
+        (["--theorem", "herglotz", "--trials", "1", "--lambda", "0.5"], "--lambda"),
+        (["--theorem", "limacon", "--n", "3", "--lambda", "0.5", "--n-max", "0",
+          "--trials", "1"], "--lambda, --n-max"),
+        (["--theorem", "suffridge", "--n", "3", "--lambda", "0.5", "--n-max", "0",
+          "--trials", "1"], "--n-max"),
+        (["--theorem", "main", "--trials", "1", "--n", "3", "--lambda", "0.5",
+          "--gamma", "0.9", "--tau", "0,2"], "--tau, --gamma"),
+    ], ids=["herglotz-n-max", "herglotz-lambda", "limacon", "suffridge", "main"])
+    def test_option_the_theorem_does_not_read_is_usage_error(self, argv, unread, capsys):
+        # each of these ran, ignored the option and exited 0
+        assert main(["verify", *argv]) == 2
+        out, err = capsys.readouterr()
+        theorem = argv[1]
+        assert err.startswith(f"error: --theorem {theorem} does not read {unread}")
+        assert out == ""
+
     def test_limacon_point(self):
         assert main(["verify", "--theorem", "limacon", "--tau", "0,2",
                      "--gamma", "0.25", "--n", "4", "--trials", "7"]) == 0
@@ -460,45 +493,21 @@ class TestVerify:
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = Config()
-        assert cfg.rng_seed == 0
-        assert cfg.output_format == "json"
+    """The global options, each set on the command line alone."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Config(output_format="xml")
+    def test_defaults(self, tmp_path, capsys):
+        # seed 0 and JSON output when neither flag is given
+        assert main(["verify", "--theorem", "herglotz", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["seed"] == 0
+        p = write_poly(tmp_path / "p.json", Polynomial([1.0, 0.0, 1.0], 2))
+        assert main(["roots", p]) == 0
+        assert [r["mult"] for r in json.loads(capsys.readouterr().out)] == [1, 1]
 
-    def test_config_file_and_override(self, tmp_path, capsys):
-        f = tmp_path / "cfg"
-        f.write_text("# comment\nrng_seed = 5\noutput_format = csv\n")
-        assert main(["--config", str(f), "--show-config"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["rng_seed"] == 5 and d["output_format"] == "csv"
-        assert main(["--config", str(f), "--rng-seed", "7", "--show-config"]) == 0
-        d = json.loads(capsys.readouterr().out)
-        assert d["rng_seed"] == 7
-
-    def test_bad_config_key(self, tmp_path):
-        f = tmp_path / "cfg"
-        f.write_text("not_a_key = 3\n")
-        assert main(["--config", str(f), "--show-config"]) == 2
-
-    def test_line_without_equals_sign(self, tmp_path, capsys):
-        f = tmp_path / "cfg"
-        f.write_text("rng_seed 5\n")
-        assert main(["--config", str(f), "--show-config"]) == 2
-        out, err = capsys.readouterr()
-        assert err.startswith("error: bad config line") and out == ""
-
-    def test_x_grid_key_removed(self, tmp_path, capsys):
-        # and the other knobs that reached no code
-        f = tmp_path / "cfg"
-        for line in ("x_grid=181", "coeff_tol=1e-10", "margin_tol=1e-6",
-                     "zeta_count=64", "circle_tol=1e-7", "boundary_samples=256"):
-            f.write_text(line + "\n")
-            assert main(["--config", str(f), "--show-config"]) == 2, line
-            assert "unknown config key" in capsys.readouterr().err, line
+    def test_validation(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--output-format", "xml", "qcoef", "4", "2", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -506,13 +515,12 @@ class TestConfig:
         assert target.read_text().strip() == "6"
 
     def test_parser_reuse_keeps_no_values(self, tmp_path, capsys):
-        # the parser is built once per process; a second call without
-        # --out or --config must see neither value of the first
-        cfg = tmp_path / "cfg"
-        cfg.write_text("rng_seed = 5\n")
+        # the parser is built once per process; a second call without --out
+        # or --rng-seed must see neither value of the first
         target = tmp_path / "out.json"
-        assert main(["--config", str(cfg), "--out", str(target), "--show-config"]) == 0
-        assert json.loads(target.read_text())["rng_seed"] == 5
-        assert main(["--show-config"]) == 0
-        assert json.loads(capsys.readouterr().out)["rng_seed"] == Config().rng_seed
-        assert json.loads(target.read_text())["rng_seed"] == 5
+        argv = ["verify", "--theorem", "herglotz", "--trials", "1"]
+        assert main(["--rng-seed", "5", "--out", str(target), *argv]) == 0
+        assert json.loads(target.read_text())[0]["seed"] == 5
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)[0]["seed"] == 0
+        assert json.loads(target.read_text())[0]["seed"] == 5

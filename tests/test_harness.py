@@ -308,11 +308,11 @@ class TestRunners:
         assert len(reps) == 16
         assert all(r.ok for r in reps)
         with pytest.raises(ValueError):
-            run_grid("nonsense", trials=1)
+            run_grid("nonsense", trials=1, seed=0, n_max=8)
 
     @pytest.mark.parametrize("n_max", [1, 0, -3])
     def test_run_grid_below_n_two_rejected(self, n_max):
         # standard_grid starts at n = 2, so these grids are empty
         assert list(standard_grid(n_max)) == []
         with pytest.raises(OutOfRange, match="n_max must be >= 2"):
-            run_grid("main", trials=1, n_max=n_max)
+            run_grid("main", trials=1, seed=0, n_max=n_max)

@@ -1,5 +1,5 @@
-"""Inventory of the package's settings: every default-valued parameter, the
-Config fields and the parser's global options, against committed lists.
+"""Inventory of the package's settings: every default-valued parameter and
+the parser's global options, against committed lists.
 
 A new knob, or one removed, fails here and names itself, so that it shows
 up in review as an edit to these lists.
@@ -7,7 +7,6 @@ up in review as an edit to these lists.
 
 import argparse
 import ast
-import dataclasses
 from pathlib import Path
 
 import polyconv
@@ -45,9 +44,6 @@ DEFAULT_PARAMS = {
     "harness.run_limacon_trial(seed)",
     "harness.run_gauss_lucas_trial(seed)",
     "harness.run_herglotz_trial(seed)",
-    "harness.run_grid(trials)",
-    "harness.run_grid(seed)",
-    "harness.run_grid(n_max)",
     "poly.Polynomial.__init__(nominal_degree)",
     "poly.Polynomial.from_roots(leading)",
     "poly.Polynomial.approx_eq(tol)",
@@ -55,9 +51,7 @@ DEFAULT_PARAMS = {
     "roots.interspersed(strict)",
 }
 
-CONFIG_FIELDS = {"rng_seed", "output_format"}
-
-GLOBAL_OPTIONS = {"--config", "--out", "--show-config", "--rng-seed", "--output-format"}
+GLOBAL_OPTIONS = {"--out", "--rng-seed", "--output-format"}
 
 
 def _default_params(tree, module):
@@ -92,11 +86,6 @@ def test_default_valued_parameters():
     for path in sorted(Path(polyconv.__file__).parent.glob("*.py")):
         found |= _default_params(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert found == DEFAULT_PARAMS, _diff(found, DEFAULT_PARAMS)
-
-
-def test_config_fields():
-    found = {f.name for f in dataclasses.fields(cli.Config)}
-    assert found == CONFIG_FIELDS, _diff(found, CONFIG_FIELDS)
 
 
 def test_global_options():
