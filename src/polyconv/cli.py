@@ -177,8 +177,12 @@ def _cmd_verify(args):
         reads, hint = (), ""
     elif theorem == "limacon":
         reads, hint = ("n", "tau", "gamma"), ""
+    elif (args.n is None) != (args.lam is None):
+        given, missing = ("--n", "--lambda") if args.lam is None else ("--lambda", "--n")
+        raise BadParams(f"{given} needs {missing}: give both for one grid point, "
+                        "or neither for the whole grid")
     else:
-        reads = ("n_max",) if args.n is None and args.lam is None else ("n", "lam")
+        reads = ("n_max",) if args.n is None else ("n", "lam")
         hint = "; it reads --n with --lambda, or else --n-max"
     unread = [flag for k, flag in _VERIFY_OPTIONS.items()
               if k not in reads and getattr(args, k) is not None]
@@ -191,10 +195,6 @@ def _cmd_verify(args):
             5 if args.n is None else args.n, args.trials, seed=seed)]
     elif theorem == "herglotz":
         reports = [harness.run_herglotz_trial(args.trials, seed)]
-    elif (args.n is None) != (args.lam is None):
-        given, missing = ("--n", "--lambda") if args.lam is None else ("--lambda", "--n")
-        raise BadParams(f"{given} needs {missing}: give both for one grid point, "
-                        "or neither for the whole grid")
     elif args.n is not None:
         reports = [harness._THEOREMS[theorem](args.n, args.lam, args.trials, seed)]
     else:

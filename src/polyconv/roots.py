@@ -150,15 +150,19 @@ def all_zeros_within(p, r):
 
 def _unit_scaled(c):
     """The complex array c times the one power of two that brings its largest
-    modulus into [1/2, 1).  That rounds nothing short of subnormal results,
-    so what is computed from it does not depend on a common scale of c, and
-    no scale of c makes it overflow.  By ldexp, since the factor itself
-    overflows for subnormal c; an all-zero c is returned as it is."""
+    real or imaginary part into [1/2, 1), so its largest modulus into
+    [1/2, sqrt 2).  That rounds nothing short of subnormal results, so what
+    is computed from it does not depend on a common scale of c, and no scale
+    of c makes it overflow.  The exponent is read from the parts, which are
+    finite where a modulus may overflow; the product is by ldexp, since the
+    factor itself overflows for subnormal c.  An all-zero c is returned as
+    it is."""
     c = np.ascontiguousarray(c, dtype=complex)
-    big = float(np.max(np.abs(c)))
+    parts = c.view(float)
+    big = float(np.max(np.abs(parts)))
     if not big > 0.0:
         return c
-    return np.ldexp(c.view(float), -math.frexp(big)[1]).view(complex)
+    return np.ldexp(parts, -math.frexp(big)[1]).view(complex)
 
 
 def _companion_roots(c):

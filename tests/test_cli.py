@@ -433,6 +433,15 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"needs {missing}" in err
 
+    @pytest.mark.parametrize("given,missing", [(["--n", "3"], "--lambda"),
+                                               (["--lambda", "0.5"], "--n")])
+    def test_unpaired_grid_option_is_named_before_unread_ones(self, given, missing, capsys):
+        # the mistake is the missing half of the pair, not --n-max
+        assert main(["verify", "--theorem", "main", "--trials", "1", *given,
+                     "--n-max", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {given[0]} needs {missing}")
+
     @pytest.mark.parametrize("failures, indeterminate, fraction, code", [
         (1, 0, "0.5", 1),  # a failed trial
         (0, 3, "0.5", 1),  # 3 of 4 trials indeterminate, above the fraction

@@ -113,10 +113,11 @@ class TestFindRoots:
         with pytest.raises(ValueError, match="non-finite coefficient.*z\\^0"):
             Polynomial([complex(0.0, math.inf), 1.0, 1.0], 2)
 
-    @pytest.mark.parametrize("scale", [1e308, 1e-320])
+    @pytest.mark.parametrize("scale", [1e308, 1e-320, 1.5e308 + 1.5e308j])
     def test_roots_do_not_depend_on_a_common_scale(self, scale):
         # 1e308 (1 + z + z^2) came out as one double root at -0.5, and at
-        # 1e-320 (subnormal coefficients) numpy's eigensolver raised
+        # 1e-320 (subnormal coefficients) numpy's eigensolver raised; a
+        # finite coefficient whose modulus overflows must scale down too
         rs = find_roots(Polynomial([scale] * 3, 2))
         want = np.exp(2j * np.pi * np.array([-1.0, 1.0]) / 3.0)
         assert [m for _, m in rs.roots] == [1, 1]
