@@ -6,7 +6,6 @@ from .errors import (
     BadParams,
     DegreeMismatch,
     HypothesisViolated,
-    InternalInconsistency,
     NoConvergence,
     NotOnCircle,
     NotSymmetric,
@@ -68,7 +67,6 @@ from .herglotz import (
     build_approximant,
     default_schedule,
     disk_limit_check,
-    evaluate_approximant,
     evaluate_approximant_many,
     folded_polynomial,
 )

@@ -38,11 +38,10 @@ import numpy as np
 from .errors import (
     BadParams,
     HypothesisViolated,
-    InternalInconsistency,
     PhaseCollision,
     PhaseMismatch,
 )
-from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase, trimmed
+from .poly import LambdaParam, Polynomial, _expand, self_inversive_phase
 from .qconv import delta, pre_lift, q_extremal
 from .roots import (CIRCLE_TOL, INSIDE, NEWTON_STEPS, ON, OUTSIDE, _circle_sign, _inclusion_radii,
                     _unit_scaled, all_zeros_within, arg_separation, find_roots, interspersed)
@@ -561,35 +560,16 @@ def _phases(P, Q):
 
 
 def hermite_biehler(P, Q, strict=False):
-    """Interspersion of two unimodular zero sets with distinct phases,
-    verified along both equivalent routes; disagreement raises."""
+    """Interspersion of two unimodular zero sets with distinct phases: do the
+    zeros of P and Q alternate on the circle (strict: with none shared)?
+
+    By the Hermite-Biehler lemma this is equivalent to P - Q, or its
+    n-inverse, having all zeros in the closed (strict: open) unit disk; it
+    is decided once, by the alternation of the root arguments.
+    """
     if _phases(P, Q)[2]:
         raise PhaseCollision("distinct self-inversive phases required")
-    rsP = find_roots(P)
-    rsQ = find_roots(Q)
-    via_roots = interspersed(rsP, rsQ, strict=strict)
-
-    F = P - Q
-    via_location = _one_sided(F, strict)
-    if via_location != via_roots:
-        raise InternalInconsistency(
-            f"alternation route says {via_roots}, zero-location route says {via_location}")
-    return via_roots
-
-
-def _one_sided(F, strict):
-    """F or its n-inverse has all zeros in the (closed/open) unit disk.
-
-    Zeros at infinity (the deficit of F's exact degree) count as outside;
-    a nonzero constant F has all of them there, and no finite ones."""
-    Ft = trimmed(F)
-    if Ft.is_zero:
-        return False
-    tags = set(find_roots(Ft).tags()) if Ft.exact_degree >= 1 else set()
-    deficit = F.nominal_degree - Ft.exact_degree  # zeros at infinity
-    if strict:
-        return (tags == {INSIDE} and deficit == 0) or tags <= {OUTSIDE}
-    return (OUTSIDE not in tags and deficit == 0) or INSIDE not in tags
+    return interspersed(find_roots(P), find_roots(Q), strict=strict)
 
 
 def hermite_kakeya(P, Q, strict=False):
@@ -603,8 +583,9 @@ def hermite_kakeya(P, Q, strict=False):
     """
     if not _phases(P, Q)[2]:
         raise PhaseMismatch("equal self-inversive phases required")
-    if (P * (1.0 / max(P.norm(), 1e-300))).approx_eq(
-            Q * (1.0 / max(Q.norm(), 1e-300)), 1e-12):
+    # equal phases admit exactly the real multiples of P, negative ones too
+    Pu, Qu = P * (1.0 / max(P.norm(), 1e-300)), Q * (1.0 / max(Q.norm(), 1e-300))
+    if Qu.approx_eq(Pu, 1e-12) or Qu.approx_eq(Pu * -1.0, 1e-12):
         raise BadParams("P/Q must be nonconstant")
     n = P.nominal_degree
     if P.exact_degree != n or Q.exact_degree != n:

@@ -39,10 +39,6 @@ class PhaseMismatch(PolyconvError):
     """c_P != c_Q where equal self-inversive phases are required."""
 
 
-class InternalInconsistency(PolyconvError):
-    """Two supposedly equivalent decision routes disagreed (test hook)."""
-
-
 class HypothesisViolated(PolyconvError):
     """A theorem hypothesis such as |a_0| < |a_n| does not hold."""
 

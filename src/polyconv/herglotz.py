@@ -127,11 +127,6 @@ def folded_polynomial(coeffs, k, r):
         Polynomial(np.concatenate([np.zeros(k), S.n_inverse().coeffs]), 2 * k)
 
 
-def evaluate_approximant(h, z):
-    """Value of the convex kernel combination at z in the open disk."""
-    return complex(evaluate_approximant_many(h, [complex(z)])[0])
-
-
 def evaluate_approximant_many(h, zs):
     """Values of the combination at every point of zs (flattened), each in
     the open disk."""

@@ -18,7 +18,7 @@ from polyconv.errors import (
     PhaseMismatch,
 )
 from polyconv import classes
-from polyconv.poly import LambdaParam, Polynomial, self_inversive_phase
+from polyconv.poly import LambdaParam, Polynomial, self_inversive_phase, trimmed
 from polyconv.classes import (
     _route_roots,
     build_char_polys,
@@ -36,7 +36,7 @@ from polyconv.classes import (
     pre_class_test,
 )
 from polyconv.qconv import delta, q_extremal
-from polyconv.roots import find_roots
+from polyconv.roots import INSIDE, OUTSIDE, find_roots
 
 TP = 2 * math.pi
 
@@ -931,6 +931,53 @@ class TestHermiteBiehler:
         assert hermite_biehler(P, Q)
         assert hermite_biehler(P, Q, strict=True)
 
+    @staticmethod
+    def one_sided(F):
+        # the lemma's other side: every zero of F = P - Q tagged INSIDE, or
+        # every one OUTSIDE, counting the degree deficit as zeros at infinity
+        Ft = trimmed(F)
+        tags = list(find_roots(Ft).tags()) if Ft.exact_degree >= 1 else []
+        tags += [OUTSIDE] * (F.nominal_degree - Ft.exact_degree)
+        return set(tags) in ({INSIDE}, {OUTSIDE})
+
+    def test_matches_zero_location_of_difference(self):
+        # zero sets at least 1e-3 apart, half of them alternating and half
+        # with one adjacent P, Q pair swapped, each side with a random
+        # complex leading coefficient
+        rng = np.random.default_rng(23)
+        for i in range(120):
+            alternating = i % 2 == 0
+            n = int(rng.integers(1 if alternating else 2, 8))
+            while True:
+                a = np.sort(rng.uniform(0.0, TP, 2 * n))
+                if np.min(np.diff(np.r_[a, a[0] + TP])) >= 1e-3:
+                    break
+            owner = np.arange(2 * n) % 2
+            if not alternating:
+                k = int(rng.integers(0, 2 * n - 1))
+                owner[[k, k + 1]] = owner[[k + 1, k]]
+            lead = rng.normal(size=2) + 1j * rng.normal(size=2)
+            P, Q = cpoly(a[owner == 0], lead[0]), cpoly(a[owner == 1], lead[1])
+            expected = self.one_sided(P - Q)
+            assert expected == alternating, (n, a, owner)
+            for strict in (False, True):
+                assert hermite_biehler(P, Q, strict) == expected, (n, a, owner, strict)
+
+    @pytest.mark.parametrize("gap, strict_expected", [(1e-8, True), (1e-10, False)])
+    def test_near_shared_zero(self, gap, strict_expected):
+        # alternating zeros with one P, Q pair gap apart: at 1e-8 they are
+        # distinct although P - Q has a zero within CIRCLE_TOL of the
+        # circle; at 1e-10 they are within ANG_TOL and so shared; the
+        # equal-phase pencil test agrees
+        P = cpoly([0.5, 2.0, TP - 2.0, TP - 0.5])
+        Q = cpoly([0.5 + gap, 3.0, 5.0, 6.1])
+        for lead in (cmath.exp(0.7j), 1j):
+            assert hermite_biehler(P, Q * lead)
+            assert hermite_biehler(P, Q * lead, strict=True) == strict_expected
+        Qk = Q * (self_inversive_phase(Q) / self_inversive_phase(P))
+        assert hermite_kakeya(P, Qk)
+        assert hermite_kakeya(P, Qk, strict=True) == strict_expected
+
 
 class TestHermiteKakeya:
     # scaling by -i aligns the phases without moving any root
@@ -950,8 +997,10 @@ class TestHermiteKakeya:
             hermite_kakeya(self.P, self.Q * 1j)
 
     def test_proportional_raises(self):
-        with pytest.raises(BadParams):
-            hermite_kakeya(self.P, self.P * 2.0)
+        # the equal-phase check admits every real multiple, negative ones too
+        for a in (2.0, -1.0, -3.0):
+            with pytest.raises(BadParams):
+                hermite_kakeya(self.P, self.P * a)
 
     def test_degree_deficit_and_off_circle_false(self):
         # all three have phase 1: z has exact degree 1 < 2, and

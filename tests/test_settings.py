@@ -1,8 +1,10 @@
-"""Inventory of the package's settings: every default-valued parameter and
-the parser's global options, against committed lists.
+"""Inventory of the package's settings and reach: every default-valued
+parameter, the parser's global options, and the exported names that no
+module of the package references, against committed lists.
 
 A new knob, or one removed, fails here and names itself, so that it shows
-up in review as an edit to these lists.
+up in review as an edit to these lists; so does a new export that only the
+tests reach.
 """
 
 import argparse
@@ -53,6 +55,18 @@ DEFAULT_PARAMS = {
 
 GLOBAL_OPTIONS = {"--out", "--rng-seed", "--output-format"}
 
+#: exported names no module of the package references, and why each stays
+UNREACHED_EXPORTS = {
+    "QCoefficientTable": "the benchmark's warm-up builds its rows",
+    "build_char_polys": "the benchmark's per-layer figures name it",
+    "is_lambda_extremal": "the benchmark's per-layer figures name it",
+    "gauss_product": "the paper's R_n(q; z)",
+    "hermite_biehler": "the Hermite-Biehler interspersion lemma",
+    "hermite_kakeya": "the Hermite-Kakeya interspersion lemma",
+    "disk_limit_check": "the half-plane check for the n-inverse",
+    "folded_polynomial": "criterion 9a's self-inversive polynomial",
+}
+
 
 def _default_params(tree, module):
     """module.function(param) for each parameter with a default."""
@@ -83,9 +97,29 @@ def _diff(found, committed):
 
 def test_default_valued_parameters():
     found = set()
-    for path in sorted(Path(polyconv.__file__).parent.glob("*.py")):
-        found |= _default_params(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    for module, tree in _package_trees().items():
+        found |= _default_params(tree, module)
     assert found == DEFAULT_PARAMS, _diff(found, DEFAULT_PARAMS)
+
+
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(polyconv.__file__).parent.glob("*.py"))}
+
+
+def test_unreached_exports():
+    trees = _package_trees()
+    exported = {a.asname or a.name for node in ast.walk(trees.pop("__init__"))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = exported - used
+    assert found == set(UNREACHED_EXPORTS), _diff(found, set(UNREACHED_EXPORTS))
 
 
 def test_global_options():
