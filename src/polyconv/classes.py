@@ -121,7 +121,7 @@ def _in_T_roots(rs, lp, closed, label, method):
     if closed:
         member = margin >= -SEP_TOL
     else:
-        member = margin > SEP_TOL and all(m == 1 for _, m in rs.roots)
+        member = margin > SEP_TOL  # a multiple zero has separation 0
     wit = {} if member else {"separation": sep}
     return MembershipVerdict(label, member, method, margin, wit)
 
@@ -372,7 +372,7 @@ def in_D_first(F, lp, closed=True):
     z, m = map(np.array, zip(*rs.roots))
     w = m * (1.0 - np.abs(z) ** 2)
     at = _least_gap(functools.partial(_blaschke_arg, n, z, m, w), n, z, tol)
-    r = _inclusion_radii(_unit_scaled(F.coeffs[: n + 1]), z, m)
+    r = _inclusion_radii(F.coeffs[: n + 1], z, m)
     v = np.abs(1.0 - np.multiply.outer(np.exp(-1j * at), z))
     with np.errstate(divide="ignore", invalid="ignore"):
         err = ((m * (r + 4.0 * eps)) @ (2.0 / v).sum(axis=0) + tol) / (w @ v[1] ** -2)
@@ -419,9 +419,7 @@ def in_D_second(P, Q, lp, closed=True):
     cP, cQ, same = _phases(P, Q)
     if same:
         raise PhaseCollision("c_P == c_Q: split degenerate for this route")
-    # one power of two for both halves keeps delta's products in range
-    A, B = (c * delta(Polynomial(x, P.nominal_degree), lp)
-            for c, x in zip((cP, cQ), _unit_scaled(np.stack([P.coeffs, Q.coeffs]))))
+    A, B = cP * delta(P, lp), cQ * delta(Q, lp)
     # at n = 1 the ends are nonzero constants, without zeros
     for theta, H in ((0.0, A), (math.pi / 2.0, B)) if lp.n > 1 else ():
         if all_zeros_within(H, 1.0 if closed else INSIDE_RADIUS):
@@ -565,11 +563,11 @@ def hermite_biehler(P, Q, strict=False):
 
     By the Hermite-Biehler lemma this is equivalent to P - Q, or its
     n-inverse, having all zeros in the closed (strict: open) unit disk; it
-    is decided once, by the alternation of the root arguments.
+    is decided once, as hermite_kakeya is, so a zero off the circle is False.
     """
     if _phases(P, Q)[2]:
         raise PhaseCollision("distinct self-inversive phases required")
-    return interspersed(find_roots(P), find_roots(Q), strict=strict)
+    return _alternate(P, Q, strict)
 
 
 def hermite_kakeya(P, Q, strict=False):
@@ -587,14 +585,15 @@ def hermite_kakeya(P, Q, strict=False):
     Pu, Qu = P * (1.0 / max(P.norm(), 1e-300)), Q * (1.0 / max(Q.norm(), 1e-300))
     if Qu.approx_eq(Pu, 1e-12) or Qu.approx_eq(Pu * -1.0, 1e-12):
         raise BadParams("P/Q must be nonconstant")
-    n = P.nominal_degree
-    if P.exact_degree != n or Q.exact_degree != n:
+    return _alternate(P, Q, strict)
+
+
+def _alternate(P, Q, strict):
+    """The lemmas' shared statement: exact degree n, all zeros ON, interspersed."""
+    if not P.exact_degree == Q.exact_degree == P.nominal_degree:
         return False
-    rsP = find_roots(P)
-    rsQ = find_roots(Q)
-    if not (rsP.all_on_circle() and rsQ.all_on_circle()):
-        return False
-    return interspersed(rsP, rsQ, strict=strict)
+    rsP, rsQ = find_roots(P), find_roots(Q)
+    return rsP.all_on_circle() and rsQ.all_on_circle() and interspersed(rsP, rsQ, strict)
 
 
 # -- half-plane criterion and the explicit boundary family -------------------

@@ -252,7 +252,7 @@ def main(argv=None):
             if args.mode == "lambda" and args.lam is None:
                 raise BadParams("--lambda required for mode lambda")
             # an overflow leaves a non-finite coefficient, which Polynomial
-            # refuses (ValueError), here and in delta
+            # refuses (ValueError)
             with np.errstate(over="ignore", invalid="ignore"):
                 out = (qconv.grace_szego(f, g) if args.mode == "gs" else
                        qconv.lambda_convolve(f, g, LambdaParam(f.nominal_degree, args.lam)))
@@ -303,8 +303,7 @@ def main(argv=None):
             return 0
         if args.command == "delta":
             p = _read_poly(args.poly)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = qconv.delta(p, LambdaParam(p.nominal_degree, args.lam))
+            out = qconv.delta(p, LambdaParam(p.nominal_degree, args.lam))
             _emit(args, out.to_json())
             return 0
     except NoConvergence as e:

@@ -101,7 +101,7 @@ def _wit(tag, *polys, **extra):
     return out
 
 
-def standard_grid(n_max=8):
+def standard_grid(n_max):
     """(n, lambda) pairs covering the interior and the lower endpoint."""
     for n in range(2, n_max + 1):
         upper = 2.0 * math.pi / n
@@ -227,7 +227,7 @@ def _judge(report, margin, witness, indeterminate=False):
         report.record(margin, witness())
 
 
-def run_suffridge_trial(n, lam, trials, seed=0):
+def run_suffridge_trial(n, lam, trials, seed):
     """Convolution invariance of the circle classes: closed * open lands in
     open; the only-if arm plants a non-member G and exposes it with the
     rotated identity elements."""
@@ -275,7 +275,7 @@ def _suffridge_only_if(n, lam, lp, rng, rep, t):
     rep.record(0.0, _wit("non-member G survived every rotated identity", G, trial=t))
 
 
-def run_main_trial(n, lam, trials, seed=0):
+def run_main_trial(n, lam, trials, seed):
     """Convolution invariance of the disk classes, plus the separation-lift
     property of the pre-coefficient classes at a larger parameter mu."""
     lp = LambdaParam(n, lam)
@@ -310,7 +310,7 @@ def _main_part_two(n, lam, mu, rng, rep, t):
            v.indeterminate)
 
 
-def run_limacon_trial(tau, gamma, n, trials, seed=0):
+def run_limacon_trial(tau, gamma, n, trials, seed):
     """Binomial-weighted convolution against the Möbius-disk and limaçon
     zero domains: six positive arms plus the planted-root falsification arm."""
     # the regions built below (omega, limacon_inner) reject gamma outside [0, 1)
@@ -415,7 +415,7 @@ def _limacon_negative_arm(tau, gamma, n, rng, rep, t):
         rep.record(1.0)
 
 
-def run_gauss_lucas_trial(n, lam, trials, seed=0):
+def run_gauss_lucas_trial(n, lam, trials, seed):
     """Images of the difference operator: disk-class members map into the
     closed (resp. open) disk, and for self-inversive inputs the disk image
     is equivalent to circle-class membership (both directions)."""
@@ -468,7 +468,7 @@ def _escape_distance(img):
     return -math.inf if rs is None else abs(rs.outermost()) - 1.0
 
 
-def run_herglotz_trial(trials, seed=0):
+def run_herglotz_trial(trials, seed):
     """Convergence/positivity trial for the kernel approximant on random
     positive-real-part functions built from finite measures."""
     rep = TrialReport("kernel-approximant", seed=seed)

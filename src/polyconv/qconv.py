@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import OutOfRange
 from .poly import LambdaParam, Polynomial, _expand
+from .roots import _unit_scaled
 
 
 @lru_cache(maxsize=4096)
@@ -111,14 +112,19 @@ def delta(f, lp: LambdaParam):
     """The q-difference operator of step lambda, in coefficient form.
 
     coeff'_k = coeff_{k+1} * C_k^(n-1)(lambda) / C_{k+1}^(n)(lambda) for
-    lambda > 0, and F'/n at lambda = 0.  Result has nominal degree n-1.
+    lambda > 0, and F'/n at lambda = 0.  Result has nominal degree n-1; only
+    an image past the float range raises (ValueError), at any scale of f.
     """
-    n = lp.n
+    n, c = lp.n, f.coeffs[1:]
     big = _row(f, lp)
-    if lp.lam == 0.0:
-        return Polynomial(f.derivative().coeffs / n, n - 1)
-    small = _table(n - 1, lp.lam) if n > 1 else np.array([1.0])
-    return Polynomial(f.coeffs[1:] * small / big[1:], n - 1)
+    num, den = ((np.arange(1, n + 1), n) if lp.lam == 0.0 else
+                (_table(n - 1, lp.lam) if n > 1 else np.array([1.0]), big[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return Polynomial(c * num / den, n - 1)
+        except ValueError:  # overflowed before the division: again at unit scale, exactly
+            u = (_unit_scaled(c) * num / den).view(float)
+            return Polynomial(np.ldexp(u, np.frexp(c.view(float))[1].max()).view(complex), n - 1)
 
 
 def pre_lift(f, lp: LambdaParam):

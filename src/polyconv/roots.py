@@ -209,8 +209,9 @@ def _inclusion_radii(c, z, m):
     r_k = (d (|p(z_k)| + e_k) / |c_d prod_{j != k} (z_k - z_j)^{m_j}|)^{1/m_k},
     e_k = 4 d eps sum_j |c_j| |z_k|^j the rounding of p(z_k).  A connected
     group of disks of total multiplicity k holds exactly k zeros of p.  A
-    radius is inf or NaN where two points coincide."""
-    return _radii(c, z, m, _distances(z))
+    radius is inf or NaN where two points coincide.  c is _unit_scaled
+    first, so no scale of c makes the radii overflow."""
+    return _radii(_unit_scaled(c), z, m, _distances(z))
 
 
 def _distances(z):

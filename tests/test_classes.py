@@ -978,6 +978,20 @@ class TestHermiteBiehler:
         assert hermite_kakeya(P, Qk)
         assert hermite_kakeya(P, Qk, strict=True) == strict_expected
 
+    def test_zeros_off_the_circle_false(self):
+        # a symmetric off-circle pair (0.5 and 2 at one argument) keeps P
+        # self-inversive; this raised NotOnCircle, while the equal-phase
+        # lemma returned False on the same zero sets
+        P = Polynomial.from_roots(np.r_[0.5, 2.0, 1.0, 1.0]
+                                  * np.exp(1j * np.r_[1.0, 1.0, 3.0, 4.5]))
+        Q = cpoly([0.5, 2.0, 4.0, 5.5])
+        for lead in (cmath.exp(0.7j), 1j):
+            for strict in (False, True):
+                assert not hermite_biehler(P, Q * lead, strict)
+                assert not hermite_biehler(Q * lead, P, strict)
+        Qk = Q * (self_inversive_phase(Q) / self_inversive_phase(P))
+        assert not hermite_kakeya(P, Qk)
+
 
 class TestHermiteKakeya:
     # scaling by -i aligns the phases without moving any root

@@ -212,7 +212,8 @@ class TestBasicCommands:
     @pytest.mark.parametrize("command", [
         ["convolve", "{big}", "{big}"],
         ["convolve", "--mode", "lambda", "--lambda", "0.5", "{big}", "{big}"],
-        ["delta", "--lambda", "0", "{big}"],
+        # C_1 = sin(3) / sin(1.5) ~ 0.14 makes the z^0 image about 7e308
+        ["delta", "--lambda", "3.0", "{big}"],
     ])
     def test_overflow_is_usage_error(self, tmp_path, command, capsys):
         # these printed Infinity or NaN coefficients and exited 0
@@ -220,6 +221,14 @@ class TestBasicCommands:
         assert main([big if a == "{big}" else a for a in command]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("error: non-finite coefficient") and out == ""
+        assert err.count("\n") == 1
+
+    def test_delta_image_in_range_near_overflow(self, tmp_path, capsys):
+        # F'/2 = [5e307, 1e308]: 2e308 before the division, which refused it
+        big = write_poly(tmp_path / "big.json", Polynomial([1e308] * 3, 2))
+        assert main(["delta", "--lambda", "0", big]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"n": 1, "coeffs": [[5e307, 0.0], [1e308, 0.0]]}
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

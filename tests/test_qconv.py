@@ -250,6 +250,56 @@ class TestDelta:
             den = 2j * z * math.sin(n * lam / 2)
             assert abs(img(z) - num / den) < 1e-10 * max(1.0, abs(num / den))
 
+    def test_image_in_range_near_overflow(self):
+        # every coefficient 2^1021: the products overflowed before the
+        # division brought the image back into range
+        f = Polynomial([2.0 ** 1021] * 13, 12)
+        for lam in (0.0, 0.3):
+            assert np.all(np.isfinite(delta(f, LambdaParam(12, lam)).coeffs))
+        # past the range: the constructor's ValueError, and no numpy warning
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            delta(Polynomial([1e308] * 3, 2), LambdaParam(2, 3.0))
+
+
+def times_power_of_two(c, e):
+    """The complex array c times 2^e, exactly (inf past the float range)."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(c).view(float), e).view(complex)
+
+
+#: the operators as op(f, g, lp); the scale is carried by f
+SCALED_OPS = {
+    "delta": lambda f, g, lp: delta(f, lp),
+    "delta-lambda0": lambda f, g, lp: delta(f, LambdaParam(lp.n, 0.0)),
+    "lambda_convolve": lambda f, g, lp: lambda_convolve(f, g, lp),
+    "grace_szego": lambda f, g, lp: grace_szego(f, g),
+    "pre_lift": lambda f, g, lp: pre_lift(f, lp),
+}
+
+
+@pytest.mark.parametrize("name", SCALED_OPS)
+def test_power_of_two_scale_commutes(name):
+    # op(2^k f, g) = 2^k op(f, g) bit for bit wherever that image is in
+    # range, since a power of two rounds nothing, and a ValueError where it
+    # is not; f is scaled to a largest part in [2^1020, 2^1021), where delta
+    # overflowed on images in range
+    op = SCALED_OPS[name]
+    rng = np.random.default_rng(1021)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        lp = LambdaParam(n, float(rng.uniform(0.05, 0.95)) * 2.0 * math.pi / n)
+        f, g = random_poly(rng, n), random_poly(rng, n)
+        k = 1021 - math.frexp(np.max(np.abs(f.coeffs.view(float))))[1]
+        big = Polynomial(times_power_of_two(f.coeffs, k), n)
+        want = times_power_of_two(op(f, g, lp).coeffs, k)
+        if np.all(np.isfinite(want)):
+            assert op(big, g, lp).coeffs.tobytes() == want.tobytes(), (n, lp.lam)
+        else:
+            # the other operators warn as their products overflow
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite coefficient"):
+                op(big, g, lp)
+
 
 class TestPreLift:
     def test_lift_of_all_ones_is_extremal(self):

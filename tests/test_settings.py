@@ -1,10 +1,12 @@
 """Inventory of the package's settings and reach: every default-valued
-parameter, the parser's global options, and the exported names that no
-module of the package references, against committed lists.
+parameter, the parser's global options, the exported names that no module
+of the package references, and the functions that scale coefficients by
+roots._unit_scaled, against committed lists.
 
 A new knob, or one removed, fails here and names itself, so that it shows
 up in review as an edit to these lists; so does a new export that only the
-tests reach.
+tests reach, and a caller that scales for a callee that should own its
+range.
 """
 
 import argparse
@@ -35,22 +37,25 @@ DEFAULT_PARAMS = {
     "domains.contains(tol)",
     "domains.root_set_in(tol)",
     "harness.TrialReport.record(witness)",
-    "harness.standard_grid(n_max)",
     "harness.sample_D(strategy)",
     "harness._sample_region(allow_boundary)",
     "harness.sample_inner_limacon(closed)",
     "harness.sample_outer_limacon(closed)",
     "harness._judge(indeterminate)",
-    "harness.run_suffridge_trial(seed)",
-    "harness.run_main_trial(seed)",
-    "harness.run_limacon_trial(seed)",
-    "harness.run_gauss_lucas_trial(seed)",
-    "harness.run_herglotz_trial(seed)",
     "poly.Polynomial.__init__(nominal_degree)",
     "poly.Polynomial.from_roots(leading)",
     "poly.Polynomial.approx_eq(tol)",
     "poly._expand(leading)",
     "roots.interspersed(strict)",
+}
+
+#: module.function that call roots._unit_scaled: each owns its range
+SCALING_SITES = {
+    "classes.eq8_oracle",
+    "qconv.delta",
+    "roots._circle_sign",
+    "roots._inclusion_radii",
+    "roots.find_roots",
 }
 
 GLOBAL_OPTIONS = {"--out", "--rng-seed", "--output-format"}
@@ -120,6 +125,17 @@ def test_unreached_exports():
                 used.add(node.attr)
     found = exported - used
     assert found == set(UNREACHED_EXPORTS), _diff(found, set(UNREACHED_EXPORTS))
+
+
+def test_scaling_sites():
+    found = set()
+    for module, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Name) and node.id == "_unit_scaled"
+                    and isinstance(node.ctx, ast.Load) for node in ast.walk(fn)):
+                found.add(f"{module}.{fn.name}")
+    assert found == SCALING_SITES, _diff(found, SCALING_SITES)
 
 
 def test_global_options():
