@@ -465,25 +465,33 @@ def eq8_oracle(F, lp, closed=True):
     h = lp.lam / 2.0
     phase = cmath.exp(-1j * lp.n * h)
     z = _oracle_grid(closed)
-    # F_+ and F_- by Horner in place, the steps of np.polyval from zeros
+    # F_+ and F_- by Horner in place from the top coefficient, the steps of
+    # np.polyval after its first, 0 z + c_n, which is c_n (the top is nonzero)
     rows = _unit_scaled(np.stack([F.rotate(h).coeffs, F.rotate(-h).coeffs], axis=1))
     rows = rows[::-1, :, None]
-    num, den = y = np.zeros((2, z.size), dtype=complex)
-    for col in rows:
+    y = np.empty((2, z.size), dtype=complex)
+    y[...] = rows[0]
+    for col in rows[1:]:
         y *= z
         y += col
+    num, den = y
     with np.errstate(divide="ignore", invalid="ignore"):
         # phase * num / den in place, operands in that order
         np.multiply(phase, num, out=num)
         np.divide(num, den, out=num)
-        finite = np.isfinite(num.imag)
-        im = num.imag if finite.all() else np.where(finite, num.imag, math.inf)
+    im = num.imag
+    i = int(np.argmin(im))  # the first NaN, if any
+    margin = float(im[i])
+    if not math.isfinite(margin):
+        # the least finite value; -inf when there is none
+        finite = np.isfinite(im)
+        im = np.where(finite, im, math.inf)
         i = int(np.argmin(im))
         margin = float(im[i]) if finite[i] else -math.inf
-        # a positive least value within its drop to its two angular neighbours
-        # on its ring may hide a dip below zero between the nodes
-        row, k = im.reshape(-1, ORACLE_ANGLES)[i // ORACLE_ANGLES], i % ORACLE_ANGLES
-        drop = float(max(row[k - 1], row[(k + 1) % ORACLE_ANGLES])) - margin
+    # a positive least value within its drop to its two angular neighbours
+    # on its ring may hide a dip below zero between the nodes
+    row, k = im.reshape(-1, ORACLE_ANGLES)[i // ORACLE_ANGLES], i % ORACLE_ANGLES
+    drop = float(max(row[k - 1], row[(k + 1) % ORACLE_ANGLES])) - margin
     indet = 0.0 <= margin <= drop
     member = closed if indet else margin > 0.0
     wit = {"neighbour_drop": drop} if indet else {} if member else {

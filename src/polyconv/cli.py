@@ -251,11 +251,8 @@ def main(argv=None):
             g = _read_poly(args.g)
             if args.mode == "lambda" and args.lam is None:
                 raise BadParams("--lambda required for mode lambda")
-            # an overflow leaves a non-finite coefficient, which Polynomial
-            # refuses (ValueError)
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = (qconv.grace_szego(f, g) if args.mode == "gs" else
-                       qconv.lambda_convolve(f, g, LambdaParam(f.nominal_degree, args.lam)))
+            out = (qconv.grace_szego(f, g) if args.mode == "gs" else
+                   qconv.lambda_convolve(f, g, LambdaParam(f.nominal_degree, args.lam)))
             _emit(args, out.to_json())
             return 0
         if args.command == "roots":

@@ -26,9 +26,13 @@ TRIM_TOL = 1e-13
 
 class Polynomial:
     """Immutable dense polynomial sum_k coeffs[k] z^k with len(coeffs) == n+1,
-    every coefficient finite (ValueError otherwise)."""
+    every coefficient finite (ValueError otherwise).
 
-    __slots__ = ("_coeffs", "_n")
+    Being immutable, it keeps what it derives from its coefficients: its
+    exact degree, computed on first read, and its roots.RootSet, which
+    roots.find_roots stores on its first successful call."""
+
+    __slots__ = ("_coeffs", "_n", "_degree", "_roots")
 
     def __init__(self, coeffs, nominal_degree=None):
         coeffs = list(coeffs)
@@ -49,6 +53,7 @@ class Polynomial:
         c.flags.writeable = False
         self._coeffs = c
         self._n = int(nominal_degree)
+        self._degree = self._roots = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -77,8 +82,10 @@ class Polynomial:
     @property
     def exact_degree(self):
         """Largest k with coeffs[k] != 0, or -inf for the zero polynomial."""
-        nz = np.nonzero(np.abs(self._coeffs) > 0)[0]
-        return int(nz[-1]) if nz.size else -math.inf
+        if self._degree is None:
+            nz = np.flatnonzero(self._coeffs)
+            self._degree = int(nz[-1]) if nz.size else -math.inf
+        return self._degree
 
     @property
     def is_zero(self):

@@ -91,21 +91,25 @@ def gauss_product(n, q):
 
 
 def grace_szego(f, g):
-    """Binomial-weighted coefficientwise product: coeff_k(f) coeff_k(g) / C(n,k)."""
+    """Binomial-weighted coefficientwise product: coeff_k(f) coeff_k(g) / C(n,k).
+    An image past the float range raises (ValueError), without a numpy warning."""
     f._check_degree(g)
     n = f.nominal_degree
     w = np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    return Polynomial(f.coeffs * g.coeffs / w, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Polynomial(f.coeffs * g.coeffs / w, n)
 
 
 def lambda_convolve(f, g, lp: LambdaParam):
     """Suffridge-weighted convolution: coeff_k(f) coeff_k(g) / C_k^(n)(lambda).
 
     The upper endpoint lambda = 2*pi/n is rejected: the interior weights
-    vanish there.
+    vanish there.  An image past the float range raises (ValueError),
+    without a numpy warning.
     """
     f._check_degree(g)
-    return Polynomial(f.coeffs * g.coeffs / _row(f, lp), lp.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Polynomial(f.coeffs * g.coeffs / _row(f, lp), lp.n)
 
 
 def delta(f, lp: LambdaParam):
@@ -128,5 +132,7 @@ def delta(f, lp: LambdaParam):
 
 
 def pre_lift(f, lp: LambdaParam):
-    """Hadamard product with Q_n(lambda; .): the pre-coefficient class lift."""
-    return Polynomial(f.coeffs * _row(f, lp), lp.n)
+    """Hadamard product with Q_n(lambda; .): the pre-coefficient class lift.
+    An image past the float range raises (ValueError), without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Polynomial(f.coeffs * _row(f, lp), lp.n)

@@ -17,7 +17,7 @@ from polyconv.errors import (
     PhaseCollision,
     PhaseMismatch,
 )
-from polyconv import classes
+from polyconv import classes, roots
 from polyconv.poly import LambdaParam, Polynomial, self_inversive_phase, trimmed
 from polyconv.classes import (
     _route_roots,
@@ -306,6 +306,99 @@ def test_oracle_margin_matches_reference_bit_for_bit():
         v = eq8_oracle(F, lp, closed)
         if v.method == "EQ8_GRID":
             assert v.margin == reference_oracle_margin(F, lp, closed)
+
+
+def oracle_radii(closed):
+    """The radii of reference_oracle_margin's grid."""
+    radii = np.geomspace(1.0 + classes.CIRCLE_TOL, 8.0, classes.ORACLE_RADII)
+    return radii if closed else np.concatenate([[1.0], radii])
+
+
+def oracle_nodes(closed):
+    """reference_oracle_margin's grid, radii by angles, flattened."""
+    angles = np.exp(2j * np.pi * np.arange(classes.ORACLE_ANGLES) / classes.ORACLE_ANGLES)
+    return np.outer(oracle_radii(closed), angles).ravel()
+
+
+def reference_oracle_verdict(F, lp, closed):
+    """eq8_oracle's verdict dict from the values of reference_oracle_margin's
+    grid: its margin, and the drop to the margin's two angular neighbours on
+    its ring, where a non-finite value counts as +inf."""
+    h = lp.lam / 2.0
+    z = oracle_nodes(closed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.imag(cmath.exp(-1j * lp.n * h) * F.rotate(h).eval_many(z)
+                       / F.rotate(-h).eval_many(z))
+    vals = np.where(np.isfinite(vals), vals, math.inf)
+    margin = reference_oracle_margin(F, lp, closed)
+    i = int(np.argmin(vals))
+    ring, k = vals.reshape(-1, classes.ORACLE_ANGLES)[i // classes.ORACLE_ANGLES], \
+        i % classes.ORACLE_ANGLES
+    drop = float(max(ring[k - 1], ring[(k + 1) % classes.ORACLE_ANGLES])) - margin
+    indet = 0.0 <= margin <= drop
+    member = closed if indet else margin > 0.0
+    wit = ({"neighbour_drop": drop} if indet else {} if member
+           else {"negative_imag_on_grid": True})
+    return {"class": "D_closed" if closed else "D_open", "member": member,
+            "method": "EQ8_GRID", "margin": margin, "witnesses": wit, "indeterminate": indet}
+
+
+def zero_on_the_grid(lp, closed, ring):
+    """An F of degree 1 whose F_- vanishes exactly at the node of angle 0 on
+    the given ring of the oracle's grid, a real node r, where the product
+    of F_-'s top coefficient and r rounds the same on every path: the
+    quotient is not finite there."""
+    assert lp.n == 1
+    r = float(oracle_radii(closed)[ring])
+    w = complex(Polynomial([0.0, 1.0]).rotate(-lp.lam / 2.0).coeffs[1])
+    return Polynomial([complex(-w.real * r, -w.imag * r), 1.0])
+
+
+def test_oracle_verdict_matches_reference_on_seeded_draws():
+    # every verdict dict bit for bit, on 1,000 draws of degree 1 to 8, one
+    # in ten with a quotient that is not finite at a node of the grid
+    rng = np.random.default_rng(449)
+    nonfinite = 0
+    for t in range(1000):
+        closed = bool(t % 2)
+        if t % 10 == 3:
+            lp = LambdaParam(1, rng.uniform(0.05, 0.95) * TP)
+            ring = int(rng.integers(0 if closed else 1, classes.ORACLE_RADII))
+            F = zero_on_the_grid(lp, closed, ring)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                den = F.rotate(-lp.lam / 2.0).eval_many(oracle_nodes(closed))
+            nonfinite += not np.all(den != 0.0)
+        else:
+            n = 1 + t % 8
+            zs = rng.uniform(0.2, 1.3) * np.sqrt(rng.uniform(size=n)) * np.exp(
+                2j * np.pi * rng.uniform(size=n))
+            F = Polynomial.from_roots(zs, leading=cmath.exp(1j * rng.uniform(0.0, TP)))
+            lp = LambdaParam(n, rng.uniform(0.05, 0.95) * TP / n)
+        v = eq8_oracle(F, lp, closed).as_dict()
+        if v["method"] == "EQ8_GRID":
+            assert v == reference_oracle_verdict(F, lp, closed), (t, v)
+    assert nonfinite == 100
+
+
+def test_routes_take_one_root_find_per_polynomial(monkeypatch):
+    # a raw instance with a zero outside, decided by the four routes in turn:
+    # the third route's preamble root-finds F, the first route reads the
+    # roots kept on F, the closed oracle finds none, and the second route's
+    # preamble root-finds P - Q, another polynomial.  Two eigensolves, not three
+    calls = []
+    real = roots._companion_roots
+    monkeypatch.setattr(roots, "_companion_roots", lambda c: calls.append(c.size) or real(c))
+    rng = np.random.default_rng(224)
+    for n in range(2, 9):
+        z = rng.uniform(0.3, 1.7, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        z[0] = 1.5 * z[0] / abs(z[0])
+        F = Polynomial.from_roots(z)
+        lp = LambdaParam(n, 0.5 * TP / n)
+        calls.clear()
+        verdicts = [in_D_third(F, lp), in_D_first(F, lp), eq8_oracle(F, lp),
+                    in_D_second(*split(F), lp)]
+        assert not any(v.member for v in verdicts), (n, verdicts)
+        assert len(calls) == 2, (n, calls)
 
 
 def pencil_scan_margin(F, lp, thetas=720):

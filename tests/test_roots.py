@@ -550,6 +550,58 @@ def test_find_roots_matches_reference_bit_for_bit():
         assert (rs.roots, rs.residual) == reference_find_roots(p)
 
 
+def edge_reference_cases():
+    """Seeded polynomials of degree 1, whose polish and residual run on one
+    point, and with exactly one zero at the origin, which is a simple root,
+    so the residual is taken there too, beside simple and multiple zeros."""
+    rng = np.random.default_rng(1011)
+    for _ in range(40):
+        yield rng.normal(size=2) + 1j * rng.normal(size=2)
+    for d in range(1, 17):
+        for _ in range(3):
+            c = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+            c[0] = 0.0
+            yield c
+        if d >= 3:
+            w = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            others = list(rng.uniform(0.3, 1.7, size=d - 3) * np.exp(2j * np.pi * rng.uniform(size=d - 3)))
+            yield Polynomial.from_roots([0.0, w, w] + others).coeffs
+
+
+def test_find_roots_matches_reference_at_degree_one_and_one_zero_at_the_origin():
+    seen = set()
+    for c in edge_reference_cases():
+        p = Polynomial(c)
+        rs = find_roots(p)
+        assert (rs.roots, rs.residual) == reference_find_roots(p)
+        seen.add((p.exact_degree, sum(m for z, m in rs.roots if z == 0.0),
+                  any(m > 1 for z, m in rs.roots if z != 0.0)))
+    # degree 1 without and with the zero at the origin, and that zero beside
+    # a cluster
+    assert {(1, 0, False), (1, 1, False), (3, 1, True)} <= seen
+
+
+class TestRootSetKept:
+    """find_roots keeps the root set on the polynomial, which is immutable."""
+
+    def test_a_second_call_returns_the_kept_root_set(self):
+        p = Polynomial.from_roots([0.5, -2.0j, 1.5 + 0.1j])
+        rs = find_roots(p)
+        assert find_roots(p) is rs
+        # an equal polynomial is another object, found again to the same roots
+        q = Polynomial(p.coeffs)
+        assert find_roots(q) is not rs and find_roots(q) == rs
+
+    def test_a_call_that_raises_keeps_nothing(self, monkeypatch):
+        p = Polynomial.from_roots(np.arange(1.0, 13.0))
+        monkeypatch.setattr(polyconv.roots, "RESIDUAL_TOL", 1e-40)
+        for _ in range(2):
+            with pytest.raises(NoConvergence):
+                find_roots(p)
+        monkeypatch.undo()
+        assert find_roots(p) is find_roots(p)
+
+
 def zoom_circle_sign(A, B, zooms=6):
     """_circle_sign with each node minimum refined on a 33-point grid zoomed
     `zooms` times by 16, as it was before Newton's method replaced the

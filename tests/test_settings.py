@@ -1,12 +1,13 @@
 """Inventory of the package's settings and reach: every default-valued
 parameter, the parser's global options, the exported names that no module
-of the package references, and the functions that scale coefficients by
-roots._unit_scaled, against committed lists.
+of the package references, the functions that scale coefficients by
+roots._unit_scaled, and the caches that live as long as the process,
+against committed lists.
 
 A new knob, or one removed, fails here and names itself, so that it shows
 up in review as an edit to these lists; so does a new export that only the
-tests reach, and a caller that scales for a callee that should own its
-range.
+tests reach, a caller that scales for a callee that should own its range,
+and a new cache with what it is keyed on.
 """
 
 import argparse
@@ -56,6 +57,21 @@ SCALING_SITES = {
     "roots._circle_sign",
     "roots._inclusion_radii",
     "roots.find_roots",
+}
+
+#: every cache that lives as long as the process, and what its entries are
+#: keyed on: the functions functools memoizes, the slots that an object
+#: sets to None in __init__ and fills on first use, and module-level names
+#: that a function stores into
+CACHES = {
+    "classes._oracle_grid": "closed",
+    "cli._build_parser": "nothing: the one parser",
+    "herglotz._kernel_nodes": "m",
+    "qconv._table": "(n, lam)",
+    "roots._circle_nodes": "size, the number of coefficients",
+    "poly.Polynomial._degree": "the object, whose coefficients are read-only",
+    "poly.Polynomial._roots": "the object, whose coefficients are read-only; "
+                              "roots.find_roots fills it",
 }
 
 GLOBAL_OPTIONS = {"--out", "--rng-seed", "--output-format"}
@@ -142,3 +158,43 @@ def test_global_options():
     found = {s for a in cli._build_parser()._actions
              if not isinstance(a, argparse._HelpAction) for s in a.option_strings}
     assert found == GLOBAL_OPTIONS, _diff(found, GLOBAL_OPTIONS)
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _caches(tree, module):
+    """module.function for memoized functions, module.Class.slot for slots
+    that __init__ sets to None, and module.name for module-level names
+    stored into from inside a function."""
+    found = set()
+    top = {t.id for node in tree.body if isinstance(node, ast.Assign)
+           for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(_decorator_name(d) in ("cache", "lru_cache") for d in node.decorator_list):
+                found.add(f"{module}.{node.name}")
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Global):
+                    found.update(f"{module}.{name}" for name in sub.names)
+                elif (isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)
+                      and isinstance(sub.value, ast.Name) and sub.value.id in top):
+                    found.add(f"{module}.{sub.value.id}")
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    found.update(
+                        f"{module}.{node.name}.{t.attr}" for a in ast.walk(fn)
+                        if isinstance(a, ast.Assign) and isinstance(a.value, ast.Constant)
+                        and a.value.value is None
+                        for t in a.targets if isinstance(t, ast.Attribute))
+    return found
+
+
+def test_caches():
+    found = set()
+    for module, tree in _package_trees().items():
+        found |= _caches(tree, module)
+    assert found == set(CACHES), _diff(found, set(CACHES))
