@@ -181,26 +181,26 @@ def _route_roots(F, lp, closed, label, method, roots=False):
     root-found: a zero outside decides non-member by the outermost zero,
     margin 1 - |z|; zeros all on the circle go to in_T (method/routed_T);
     zeros on and inside the circle are a non-member at margin 0.  Returns
-    (verdict_or_None, rootset_or_None); a None verdict means all zeros are
-    strictly inside and the route's own test runs."""
+    the verdict, or None when all zeros are strictly inside and the route's
+    own test runs; find_roots(F) then returns the kept root set."""
     if (bad := _degree_verdict(F, lp, label, method)) is not None:
-        return bad, None
+        return bad
     if not roots and all_zeros_within(F, INSIDE_RADIUS):
-        return None, None
+        return None
     rs = find_roots(F)
     tags = rs.tags()
     if OUTSIDE in tags:
         z = rs.outermost()
         return MembershipVerdict(label, False, method, 1.0 - abs(z),
-                                 {"offending_root": complex(z)}), rs
+                                 {"offending_root": complex(z)})
     if INSIDE not in tags:
-        return _in_T_roots(rs, lp, closed, label, method + "/routed_T"), rs
+        return _in_T_roots(rs, lp, closed, label, method + "/routed_T")
     if ON in tags:
         # mixed zero locations can never satisfy the defining inequality
         z = rs.roots[tags.index(ON)][0]
         return MembershipVerdict(label, False, method, 0.0,
-                                 {"mixed_root_on_circle": complex(z)}), rs
-    return None, rs
+                                 {"mixed_root_on_circle": complex(z)})
+    return None
 
 
 def _margin_verdict(label, closed, method, margin, indet, z):
@@ -229,7 +229,7 @@ def in_D_third(F, lp, closed=True):
     indeterminate (closed: member, open: non-member).
     """
     lp.require_interior()
-    early, _ = _route_roots(F, lp, closed, _label("D", closed), "THIRD_CHAR")
+    early = _route_roots(F, lp, closed, _label("D", closed), "THIRD_CHAR")
     if early is not None:
         return early
     return _third_sign(F, lp, closed)
@@ -362,9 +362,10 @@ def in_D_first(F, lp, closed=True):
     """
     lp.require_interior()
     label = _label("D", closed)
-    early, rs = _route_roots(F, lp, closed, label, "FIRST_CHAR", roots=True)
+    early = _route_roots(F, lp, closed, label, "FIRST_CHAR", roots=True)
     if early is not None:
         return early
+    rs = find_roots(F)
     n, eps = lp.n, np.finfo(float).eps
     if n == 1:  # one zero per fold, which in_T separates by 2 pi
         return _margin_verdict(label, closed, "FIRST_CHAR", 2.0 * math.pi - lp.lam, False, 1j)
@@ -413,7 +414,7 @@ def in_D_second(P, Q, lp, closed=True):
     label = _label("D", closed)
     # the pencil cannot tell F from its n-inverse (the split only changes
     # sign), so the zero-location preamble has to run on F itself
-    early, _ = _route_roots(P - Q, lp, closed, label, "SECOND_CHAR")
+    early = _route_roots(P - Q, lp, closed, label, "SECOND_CHAR")
     if early is not None:
         return early
     cP, cQ, same = _phases(P, Q)
@@ -523,10 +524,10 @@ def _in_D_lambda0(F, lp, closed):
     the open class through the routes' preamble, _route_roots."""
     label = _label("D", closed)
     if not closed:
-        early, rs = _route_roots(F, lp, False, label, "definition", roots=True)
+        early = _route_roots(F, lp, False, label, "definition", roots=True)
         if early is not None:
             return early
-        return MembershipVerdict(label, True, "definition", 1.0 - abs(rs.outermost()))
+        return MembershipVerdict(label, True, "definition", 1.0 - abs(find_roots(F).outermost()))
     if (bad := _degree_verdict(F, lp, label, "definition")) is not None:
         return bad
     rs = find_roots(F)

@@ -33,9 +33,6 @@ ANG_TOL = 1e-9
 #: bisection of one node spacing either side converges well within them
 NEWTON_STEPS = 60
 
-#: the spacing of floats at 1, for the rounding bounds
-EPS = np.finfo(float).eps
-
 #: all_zeros_within declines below this coefficient scale, where scaling
 #: by a power of two would overflow
 TINY = 2.0 ** -900
@@ -162,7 +159,7 @@ def _unit_scaled(c):
     it is."""
     c = np.ascontiguousarray(c, dtype=complex)
     parts = c.view(float)
-    big = float(np.abs(parts).max())
+    big = float(np.max(np.abs(parts)))
     if not big > 0.0:
         return c
     return np.ldexp(parts, -math.frexp(big)[1]).view(complex)
@@ -214,8 +211,7 @@ def _inclusion_radii(c, z, m):
     group of disks of total multiplicity k holds exactly k zeros of p.  A
     radius is inf or NaN where two points coincide.  c is _unit_scaled
     first, so no scale of c makes the radii overflow."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _radii(_unit_scaled(c), z, _distances(z) ** m) ** (1.0 / m)
+    return _radii(_unit_scaled(c), z, m, _distances(z))
 
 
 def _distances(z):
@@ -225,14 +221,13 @@ def _distances(z):
     return dz
 
 
-def _radii(c, z, dz):
-    """_inclusion_radii at m = 1 from the distances dz = _distances(z), or at
-    multiplicities m before the m-th roots from dz = _distances(z) ** m."""
-    d = c.size - 1
+def _radii(c, z, m, dz):
+    """_inclusion_radii from the distances dz = _distances(z)."""
+    d, eps = c.size - 1, np.finfo(float).eps
     zk = np.power.outer(z, np.arange(d + 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (d * (np.abs(zk @ c) + 4.0 * d * EPS * (np.abs(zk) @ np.abs(c)))
-                / (abs(c[d]) * dz.prod(axis=1)))
+        return (d * (np.abs(zk @ c) + 4.0 * d * eps * (np.abs(zk) @ np.abs(c)))
+                / (abs(c[d]) * np.prod(dz ** m, axis=1))) ** (1.0 / m)
 
 
 def _refine_multiple(g, z, radius):
@@ -272,7 +267,7 @@ def _cluster(c, rev, eig, points):
     for x in (eig, points):
         w = 1.0 / x if flip else x
         dz = _distances(w)
-        r = _radii(cs, w, dz)
+        r = _radii(cs, w, 1, dz)
         # a NaN radius (coincident points) reads as an overlap
         adj &= ~(dz > np.add.outer(r, r))
         if not adj.any():
@@ -307,7 +302,7 @@ def find_roots(p):
         raise ValueError("need a nonzero polynomial of exact degree >= 1")
     full = _unit_scaled(p.coeffs[: d + 1])
     # exact zeros at the origin come from vanishing low-order coefficients
-    scale = float(np.abs(full).max())
+    scale = float(np.max(np.abs(full)))
     k0 = 0
     while abs(full[k0]) == 0.0:
         k0 += 1
@@ -337,20 +332,17 @@ def find_roots(p):
         approx = approx - step
 
     found = _cluster(c, rev, eig, approx)
-    every_point_simple = len(found) == approx.size
     if zero_mult:
         found.append((0.0 + 0.0j, zero_mult))
-    # the simple roots in found's order: the polished points themselves when
-    # no cluster formed, unless the origin is one of them
-    simple = (approx if every_point_simple and zero_mult != 1
-              else np.array([z for z, m in found if m == 1], dtype=complex))
+
+    simple = np.array([z for z, m in found if m == 1], dtype=complex)
     residual = 0.0
     if simple.size:
         # normalize by the natural size of p near each root so roots of
         # large modulus are not penalized
         vals = np.abs(np.polyval(full[::-1], simple))
         sizes = scale * np.maximum(1.0, np.abs(simple)) ** d
-        residual = float((vals / sizes).max())
+        residual = float(np.max(vals / sizes))
         if not residual <= math.sqrt(RESIDUAL_TOL):  # a NaN residual fails too
             raise NoConvergence(
                 f"residual {residual:.3e} above tolerance after eigensolve and polish")
@@ -460,7 +452,7 @@ def _circle_sign(A, B):
     minimum falls below minus its bound and not every one clears it.
     """
     AB = _unit_scaled(np.stack([A, B], axis=1))
-    eA, eB = (4.0 * len(A) * EPS * np.sum(np.abs(AB), axis=0)).tolist()
+    eA, eB = (4.0 * len(A) * np.finfo(float).eps * np.sum(np.abs(AB), axis=0)).tolist()
     x, nodes = _circle_nodes(len(A))
     a, b = (nodes @ AB).T
     ra, rb = np.abs(a), np.abs(b)

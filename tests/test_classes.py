@@ -579,24 +579,27 @@ def test_member_paths_take_no_root_find(monkeypatch):
 
 def test_root_readers_take_no_certificate(monkeypatch):
     # the first route and the open class at lambda = 0 read F's zeros: their
-    # preamble root-finds F once, certified inside (scale 1.2) or declined
+    # preamble root-finds F once (one eigensolve; a later find_roots on F
+    # returns the kept root set), certified inside (scale 1.2) or declined
     # (scale 0.8, zeros outside), and runs no Schur-Cohn certificate
     calls = []
-    for name in ("all_zeros_within", "find_roots"):
-        real = getattr(classes, name)
-        monkeypatch.setattr(classes, name, lambda *a, _name=name, _real=real, **k:
-                            calls.append(_name) or _real(*a, **k))
+    real_within, real_eig = classes.all_zeros_within, roots._companion_roots
+    monkeypatch.setattr(classes, "all_zeros_within",
+                        lambda *a, **k: calls.append("all_zeros_within") or real_within(*a, **k))
+    monkeypatch.setattr(roots, "_companion_roots",
+                        lambda c: calls.append("eigensolve") or real_eig(c))
     for n in (3, 5, 8):
         lp = LambdaParam(n, 0.6 * TP / n)
         for scale in (1.2, 0.8):
-            F = q_extremal(n, lp.lam).scale_argument(scale)
             for closed in (True, False):
+                F = q_extremal(n, lp.lam).scale_argument(scale)
                 calls.clear()
                 assert in_D(F, lp, closed, "first").member == (scale > 1.0)
-                assert calls == ["find_roots"], (n, scale, closed, calls)
+                assert calls == ["eigensolve"], (n, scale, closed, calls)
+            F = q_extremal(n, lp.lam).scale_argument(scale)
             calls.clear()
             assert in_D(F, LambdaParam(n, 0.0), False).member == (scale > 1.0)
-            assert calls == ["find_roots"], (n, scale, calls)
+            assert calls == ["eigensolve"], (n, scale, calls)
 
 
 class TestBoundaryFamilyOpenClass:
@@ -695,7 +698,7 @@ def per_fold_first_route(F, lp, closed):
     fold F + zeta F^*n at ZETA_SAMPLES values of zeta: exact in the
     necessary direction only, kept as a reference."""
     label = "D_closed" if closed else "D_open"
-    early, _ = _route_roots(F, lp, closed, label, "FIRST_CHAR")
+    early = _route_roots(F, lp, closed, label, "FIRST_CHAR")
     if early is not None:
         return early
     Fi = F.n_inverse()
@@ -797,7 +800,7 @@ class TestFirstRouteFolds:
     def test_matches_per_fold_in_T(self):
         members = {True: 0, False: 0}
         for shape, lp, F in self.instances():
-            if _route_roots(F, lp, True, "D", "")[0] is not None:
+            if _route_roots(F, lp, True, "D", "") is not None:
                 # the preamble decides: the same verdict as the sampled route
                 for closed in (True, False):
                     v, ref = in_D_first(F, lp, closed), per_fold_first_route(F, lp, closed)
@@ -812,14 +815,14 @@ class TestFirstRouteFolds:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_member_takes_one_root_find(self, n, monkeypatch):
-        # the preamble's; the route reads the zeros it found
+        # the preamble's; the route reads the zeros it found, kept on F, so
+        # the one eigensolve is the preamble's
         calls = []
-        real = classes.find_roots
-        monkeypatch.setattr(classes, "find_roots",
-                            lambda p, *a, **k: calls.append(p) or real(p, *a, **k))
+        real = roots._companion_roots
+        monkeypatch.setattr(roots, "_companion_roots", lambda c: calls.append(c) or real(c))
         lp = LambdaParam(n, 0.6 * TP / n)
-        F = q_extremal(n, lp.lam).scale_argument(1.2)
         for closed in (True, False):
+            F = q_extremal(n, lp.lam).scale_argument(1.2)
             calls.clear()
             v = in_D_first(F, lp, closed)
             assert v.member and v.margin > 0.0
